@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/dsm"
 	"repro/internal/harness"
 )
 
@@ -36,7 +37,7 @@ func benchApp(b *testing.B, appName string, impl harness.Impl, procs int) {
 	}
 	seq := a.RunSeq(benchScale)
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Verified(a, benchScale, impl, procs)
+		res, err := harness.Verified(a, benchScale, impl, procs, dsm.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,6 +20,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/dsm"
 	"repro/internal/harness"
 )
 
@@ -43,7 +44,7 @@ func main() {
 	}
 	s := harness.Scale(*scale)
 	seq := a.RunSeq(s)
-	res, err := harness.Verified(a, s, harness.Impl(*impl), *procs)
+	res, err := harness.Verified(a, s, harness.Impl(*impl), *procs, dsm.Config{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nowomp:", err)
 		os.Exit(1)

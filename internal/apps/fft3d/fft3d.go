@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -19,6 +20,10 @@ type Params struct {
 	Seed uint64
 	// Platform overrides the cost model (nil = default).
 	Platform *sim.Platform
+	// DSM carries the protocol knobs of the DSM-backed implementations
+	// (see dsm.Config); the run sets the machine size, heap, and
+	// platform itself. The zero value is the paper's protocol.
+	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration used by the harness

@@ -11,6 +11,7 @@ package qsort
 
 import (
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -26,18 +27,10 @@ type Params struct {
 	QueueCap int
 	// Platform overrides the cost model.
 	Platform *sim.Platform
-	// DisableGC turns off the DSM's metadata collection in the DSM-backed
-	// implementations; GCPressure and GCPolicy set the acquire-epoch
-	// trigger and the per-page validate-vs-flush purge policy (see
-	// dsm.Config). QSORT synchronizes through critical sections and a
-	// condition variable, so between region boundaries only the acquire
-	// source collects for it.
-	DisableGC  bool
-	GCPressure int
-	GCPolicy   string
-	// WireV1 selects the pre-batching DSM wire protocol (see
-	// dsm.Config.WireV1); the bench-wire comparison's control arm.
-	WireV1 bool
+	// DSM carries the protocol knobs of the DSM-backed implementations
+	// (see dsm.Config); the run sets the machine size, heap, and
+	// platform itself. The zero value is the paper's protocol.
+	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration (256K keys, bubble

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dsm"
 )
 
@@ -26,15 +25,14 @@ import (
 // handful of repetitions is a reliable detector. The DSM shadow-memory
 // oracle gives a protocol-level verdict independent of FP summation
 // order; the checksum check additionally pins the end-to-end result.
+// The oracle is process-wide, so this test stays sequential: a parallel
+// sibling's writes would land in the same shadow memory.
 func TestWaterShardedGCDrift(t *testing.T) {
-	p := Params{NMol: 256, Steps: 2, Seed: 31415}
+	p := Params{NMol: 256, Steps: 2, Seed: 31415, DSM: dsm.Config{HomePolicy: dsm.HomePolicyBlockCyclic}}
 	want := RunSeq(p)
 	for rep := 0; rep < 5; rep++ {
 		dsm.SetDebugOracle(true)
-		res, err := RunOMPCfg(p, 4, core.Config{
-			Threads: 4, Backend: core.BackendNOW,
-			HomePolicy: "block-cyclic",
-		})
+		res, err := RunOMP(p, 4)
 		div := dsm.OracleDiverges()
 		dsm.SetDebugOracle(false)
 		if err != nil {

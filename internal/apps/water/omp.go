@@ -19,28 +19,9 @@ func RunOMP(p Params, procs int) (apps.Result, error) {
 // through per-thread partial arrays separated by a barrier, the standard
 // SPLASH scheme.
 func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error) {
-	return RunOMPCfg(p, procs, core.Config{
-		Threads: procs, Platform: p.Platform, Backend: backend,
-		DisableGC: p.DisableGC, GCMinRetire: p.GCMinRetire,
-		GCPressure: p.GCPressure, GCPolicy: p.GCPolicy,
-		WireV1: p.WireV1,
-	})
-}
-
-// RunOMPCfg executes the OpenMP version with full control over the core
-// configuration (home policy, barrier fan-in, …) — the entry point the
-// protocol-level regression tests and ablations use.
-func RunOMPCfg(p Params, procs int, cfg core.Config) (apps.Result, error) {
-	return RunOMPDump(p, procs, cfg, nil)
-}
-
-// RunOMPDump is RunOMPCfg additionally returning the final position array
-// through dump (when non-nil) so protocol regression tests can localize a
-// divergence to specific molecules and pages, not just the folded checksum.
-func RunOMPDump(p Params, procs int, cfg core.Config, dump *[]float64) (apps.Result, error) {
 	n := p.NMol
 	bytesArr := 8 * n * dof
-	prog := core.NewProgram(cfg)
+	prog := core.NewProgram(core.Config{Threads: procs, Platform: p.Platform, Backend: backend, DSM: p.DSM})
 	defer prog.Close()
 	posA := prog.SharedPage(bytesArr)
 	velA := prog.SharedPage(bytesArr)
@@ -131,9 +112,6 @@ func RunOMPDump(p Params, procs int, cfg core.Config, dump *[]float64) (apps.Res
 		final := make([]float64, n*dof)
 		m.ReadF64s(posA, final)
 		checksum = Digest(final, keRed.Value(&m.TC), 0, n)
-		if dump != nil {
-			*dump = final
-		}
 	})
 	if err != nil {
 		return apps.Result{}, err

@@ -322,16 +322,5 @@ func TestGCPolicyParse(t *testing.T) {
 			}
 		}
 	}
-	if MustParseGCPolicy("flush") != GCPolicyFlush {
-		t.Error("MustParseGCPolicy(flush) wrong")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MustParseGCPolicy(bogus) did not panic")
-			}
-		}()
-		MustParseGCPolicy("bogus")
-	}()
 	_ = fmt.Sprintf("%v", GCPolicy(99)) // String() total
 }

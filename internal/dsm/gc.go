@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/network"
 	"repro/internal/sim"
 )
 
@@ -94,15 +93,6 @@ type epochFloor struct {
 	collect bool
 	seen    int
 }
-
-// gcDefault gates the collector for systems whose Config does not set
-// DisableGC. It exists for the GC ablation and the GC-off equivalence
-// suite; it must not be flipped while systems are running.
-var gcDefault = true
-
-// SetGCDefault enables or disables garbage collection (both epoch
-// sources) for subsequently created systems (ablations and tests only).
-func SetGCDefault(on bool) { gcDefault = on }
 
 // checkEpochFloor verifies that every node presents the identical retire
 // floor — and reaches the identical collect-or-skip decision — for a
@@ -572,39 +562,28 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 	// reply queue routes by message type alone, so every page reply must
 	// drain before the first diff request goes out (cf. faultInLocked).
 	if refetches > 0 {
-		if n.wireV1 {
-			for _, w := range work {
-				if w.home < 0 {
-					continue
-				}
-				var req wbuf
-				req.u32(uint32(w.pg.id))
-				n.ep.SendAt(w.home, msgPageReq, network.ClassRequest, req.b, c.clk.Now())
+		// Coalesce the wave per home: one frame carries every refetch
+		// bound for the same home (each sub still earns its own msgPageRep
+		// reply, so the collection below is unchanged).
+		byHome := make(map[int]*frameBuilder)
+		var homes []int
+		for _, w := range work {
+			if w.home < 0 {
+				continue
 			}
-		} else {
-			// v2: coalesce the wave per home — one frame carries every
-			// refetch bound for the same home (each sub still earns its
-			// own msgPageRep reply, so the collection below is unchanged).
-			byHome := make(map[int]*frameBuilder)
-			var homes []int
-			for _, w := range work {
-				if w.home < 0 {
-					continue
-				}
-				f := byHome[w.home]
-				if f == nil {
-					f = n.newFrame()
-					byHome[w.home] = f
-					homes = append(homes, w.home)
-				}
-				var req wbuf
-				req.u32(uint32(w.pg.id))
-				f.add(msgPageReq, req.b)
+			f := byHome[w.home]
+			if f == nil {
+				f = n.newFrame()
+				byHome[w.home] = f
+				homes = append(homes, w.home)
 			}
-			sort.Ints(homes)
-			for _, h := range homes {
-				byHome[h].sendAt(h, c.clk.Now())
-			}
+			var req wbuf
+			req.u32(uint32(w.pg.id))
+			f.add(msgPageReq, req.b)
+		}
+		sort.Ints(homes)
+		for _, h := range homes {
+			byHome[h].sendAt(h, c.clk.Now())
 		}
 		contents := make(map[PageID][]byte, refetches)
 		for i := 0; i < refetches; i++ {
@@ -634,33 +613,27 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 	// the parallel validation sweep.
 	n.mu.Lock()
 	requests := 0
-	if n.wireV1 {
-		for _, w := range work {
-			requests += c.sendDiffRequests(w.pg.id, w.fetch)
-		}
-	} else {
-		// v2: coalesce the wave per creator — one frame carries one
-		// creator's per-page diff requests across ALL work pages. Each
-		// sub still earns its own msgDiffRep reply, so the reply count
-		// is the sub count, not the frame count.
-		byCreator := make(map[int]*frameBuilder)
-		var creators []int
-		for _, w := range work {
-			for _, req := range diffRequestPayloads(w.pg.id, w.fetch) {
-				f := byCreator[req.creator]
-				if f == nil {
-					f = n.newFrame()
-					byCreator[req.creator] = f
-					creators = append(creators, req.creator)
-				}
-				f.add(msgDiffReq, req.payload)
-				requests++
+	// Coalesce the wave per creator: one frame carries one creator's
+	// per-page diff requests across ALL work pages. Each sub still earns
+	// its own msgDiffRep reply, so the reply count is the sub count, not
+	// the frame count.
+	byCreator := make(map[int]*frameBuilder)
+	var creators []int
+	for _, w := range work {
+		for _, req := range diffRequestPayloads(w.pg.id, w.fetch) {
+			f := byCreator[req.creator]
+			if f == nil {
+				f = n.newFrame()
+				byCreator[req.creator] = f
+				creators = append(creators, req.creator)
 			}
+			f.add(msgDiffReq, req.payload)
+			requests++
 		}
-		sort.Ints(creators)
-		for _, cr := range creators {
-			byCreator[cr].sendAt(cr, c.clk.Now())
-		}
+	}
+	sort.Ints(creators)
+	for _, cr := range creators {
+		byCreator[cr].sendAt(cr, c.clk.Now())
 	}
 	n.mu.Unlock()
 

@@ -37,7 +37,8 @@ import (
 type HomePolicy int
 
 const (
-	// HomePolicyDefault defers to the package default (block-cyclic).
+	// HomePolicyDefault is the zero value; a System resolves it to
+	// HomePolicyBlockCyclic.
 	HomePolicyDefault HomePolicy = iota
 	// HomePolicyBlockCyclic assigns homes in blocks of HomeBlockPages
 	// pages, round-robin across nodes — contiguous arrays shard evenly
@@ -56,7 +57,7 @@ const (
 // HomeBlockPages is the block size of HomePolicyBlockCyclic, in pages.
 const HomeBlockPages = 8
 
-// String returns the knob spelling accepted by ParseHomePolicy.
+// String returns the policy name.
 func (p HomePolicy) String() string {
 	switch p {
 	case HomePolicyDefault:
@@ -69,32 +70,6 @@ func (p HomePolicy) String() string {
 		return "first-touch"
 	}
 	return fmt.Sprintf("HomePolicy(%d)", int(p))
-}
-
-// ParseHomePolicy parses a home-policy knob ("", "default",
-// "block-cyclic", "node0", "first-touch").
-func ParseHomePolicy(s string) (HomePolicy, error) {
-	switch s {
-	case "", "default":
-		return HomePolicyDefault, nil
-	case "block-cyclic":
-		return HomePolicyBlockCyclic, nil
-	case "node0":
-		return HomePolicyNode0, nil
-	case "first-touch":
-		return HomePolicyFirstTouch, nil
-	}
-	return HomePolicyDefault, fmt.Errorf("dsm: unknown home policy %q", s)
-}
-
-// MustParseHomePolicy is ParseHomePolicy for configuration paths where an
-// unknown spelling is a programming error.
-func MustParseHomePolicy(s string) HomePolicy {
-	p, err := ParseHomePolicy(s)
-	if err != nil {
-		panic(err.Error())
-	}
-	return p
 }
 
 // homeTable resolves page → home for one system.

@@ -36,41 +36,11 @@ func homePinWorkload(t *testing.T, cfg Config) (msgs, bytes int64) {
 	return sys.Switch().Stats().Snapshot()
 }
 
-// TestHomeNode0DegeneratePin asserts that WireV1 + HomePolicyNode0
-// reproduces the pre-batching, pre-sharding protocol byte for byte: the
-// traffic constants below were captured on the revision where node 0 was
-// hard-coded as the allocator, sole page server, flat barrier manager, and
-// GC validate-first node, before the v2 wire format existed. Any drift
-// means the degenerate configuration is no longer the old protocol —
-// either the sharding refactor changed ≤8-processor behaviour or the
-// WireV1 knob no longer pins the v1 encoding exactly.
-func TestHomeNode0DegeneratePin(t *testing.T) {
-	for _, tt := range []struct {
-		policy GCPolicy
-		msgs   int64
-		bytes  int64
-	}{
-		{GCPolicyFlush, 875, 1294517},
-		{GCPolicyValidateHot, 875, 696521},
-	} {
-		msgs, bytes := homePinWorkload(t, Config{
-			Procs:      8,
-			GCPressure: -1,
-			GCPolicy:   tt.policy,
-			HomePolicy: HomePolicyNode0,
-			WireV1:     true,
-		})
-		if msgs != tt.msgs || bytes != tt.bytes {
-			t.Errorf("policy %v: msgs=%d bytes=%d, want msgs=%d bytes=%d (degenerate node-0 homes drifted from the pre-sharding protocol)",
-				tt.policy, msgs, bytes, tt.msgs, tt.bytes)
-		}
-	}
-}
-
-// TestHomeNode0WireV2Pin pins the same degenerate workload under the
-// default (v2, delta-compressed) wire format. The logical message counts
-// must match the v1 pin exactly — compression changes bytes, never
-// protocol behaviour — and the byte counts are the fresh v2 goldens.
+// TestHomeNode0WireV2Pin pins the degenerate node-0-homes workload under
+// the delta-compressed wire format. The logical message counts are those
+// of the pre-batching, pre-sharding protocol (875 for both policies) —
+// compression changes bytes, never protocol behaviour — and the byte
+// counts are the wire-format goldens.
 func TestHomeNode0WireV2Pin(t *testing.T) {
 	for _, tt := range []struct {
 		policy GCPolicy
@@ -135,30 +105,5 @@ func TestHomeOfPolicies(t *testing.T) {
 	}
 	if got := ft.homeOf(3); got != 2 {
 		t.Fatalf("claimed first-touch page has home %d, want 2", got)
-	}
-}
-
-// TestHomePolicyParse pins the knob spellings.
-func TestHomePolicyParse(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want HomePolicy
-		ok   bool
-	}{
-		{"", HomePolicyDefault, true},
-		{"default", HomePolicyDefault, true},
-		{"block-cyclic", HomePolicyBlockCyclic, true},
-		{"node0", HomePolicyNode0, true},
-		{"first-touch", HomePolicyFirstTouch, true},
-		{"node-0", HomePolicyDefault, false},
-		{"cyclic", HomePolicyDefault, false},
-	} {
-		got, err := ParseHomePolicy(tt.in)
-		if tt.ok != (err == nil) || got != tt.want {
-			t.Errorf("ParseHomePolicy(%q) = %v, %v; want %v, ok=%v", tt.in, got, err, tt.want, tt.ok)
-		}
-		if tt.ok && got.String() != tt.in && tt.in != "" {
-			t.Errorf("round trip %q -> %q", tt.in, got.String())
-		}
 	}
 }

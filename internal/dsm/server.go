@@ -129,7 +129,7 @@ func walkBatch(r *rbuf, nodeID int, fn func(typ int, payload []byte)) {
 // node's knowledge, recording the sender's reported clock (returned for
 // callers that need it, e.g. as a GC epoch floor).
 func (n *Node) incorporateWire(r *rbuf, from int) VectorClock {
-	senderVC, recs := n.getTrailer(r)
+	senderVC, recs := getTrailer(r)
 	n.mu.Lock()
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(from, senderVC)

@@ -312,14 +312,14 @@ type GCAblationRow struct {
 }
 
 // gcModeConfig translates an ablation mode into the DSM knobs.
-func gcModeConfig(mode, workload string, procs int) (disable bool, minRetire int) {
+func gcModeConfig(mode, workload string, procs int) dsm.Config {
 	switch mode {
 	case "every":
-		return false, 0
+		return dsm.Config{}
 	case "adaptive":
-		return false, AdaptiveGCRetire(procs)
+		return dsm.Config{GCMinRetire: AdaptiveGCRetire(procs)}
 	case "off":
-		return true, 0
+		return dsm.Config{DisableGC: true}
 	}
 	panic(fmt.Sprintf("harness: unknown GC ablation mode %q for %s", mode, workload))
 }
@@ -334,8 +334,9 @@ func AblationGCIteration(iters, procs int) ([]GCAblationRow, error) {
 	name := fmt.Sprintf("iteration x%d", iters)
 	var rows []GCAblationRow
 	for _, mode := range GCModes {
-		disable, minRetire := gcModeConfig(mode, name, procs)
-		sys := dsm.New(dsm.Config{Procs: procs, DisableGC: disable, GCMinRetire: minRetire})
+		cfg := gcModeConfig(mode, name, procs)
+		cfg.Procs = procs
+		sys := dsm.New(cfg)
 		defer sys.Close()
 		base := sys.MallocPage(8 * words)
 		sys.Register("gc-iter", func(n *dsm.Node, _ []byte) {
@@ -379,7 +380,7 @@ func AblationGCWater(steps, procs int) ([]GCAblationRow, error) {
 	p.Steps = steps
 	var rows []GCAblationRow
 	for _, mode := range GCModes {
-		p.DisableGC, p.GCMinRetire = gcModeConfig(mode, name, procs)
+		p.DSM = gcModeConfig(mode, name, procs)
 		res, err := water.RunTmk(p, procs)
 		if err != nil {
 			return rows, err
@@ -405,7 +406,7 @@ func AblationGCWater(steps, procs int) ([]GCAblationRow, error) {
 // ---------------------------------------------------------------------
 
 // GCPolicies are the purge-policy arms of the grid.
-var GCPolicies = []string{"flush", "validate-hot", "adaptive"}
+var GCPolicies = []dsm.GCPolicy{dsm.GCPolicyFlush, dsm.GCPolicyValidateHot, dsm.GCPolicyAdaptive}
 
 // GCTriggers are the epoch-source arms of the grid.
 var GCTriggers = []string{"episode", "acquire"}
@@ -419,7 +420,7 @@ func AcquireGCPressure(procs int) int { return 4 * procs }
 type GCPolicyRow struct {
 	Workload  string
 	Trigger   string // "episode" or "acquire"
-	Policy    string
+	Policy    dsm.GCPolicy
 	Procs     int
 	Time      sim.Time
 	Msgs      int64
@@ -467,12 +468,8 @@ const gcLockSparseReadPeriod = 6
 // is about to read again — whole-page refetches that the validate-hot
 // policy replaces with tiny single-creator diff fetches. It returns the
 // finished system for counter inspection.
-func GCLockSparse(procs, rounds int, pressure int, policy string) (*dsm.System, error) {
-	sys := dsm.New(dsm.Config{
-		Procs:      procs,
-		GCPressure: pressure,
-		GCPolicy:   dsm.MustParseGCPolicy(policy),
-	})
+func GCLockSparse(procs, rounds int, pressure int, policy dsm.GCPolicy) (*dsm.System, error) {
+	sys := dsm.New(dsm.Config{Procs: procs, GCPressure: pressure, GCPolicy: policy})
 	defer sys.Close()
 	arr := sys.MallocPage(procs * dsm.PageSize)
 	ctr := sys.MallocPage(8)
@@ -553,8 +550,7 @@ func AblationGCPolicy(rounds, steps, procs int) ([]GCPolicyRow, error) {
 		for _, policy := range GCPolicies {
 			p := water.Small()
 			p.Steps = steps
-			p.GCPressure = gcTriggerPressure(trigger, procs)
-			p.GCPolicy = policy
+			p.DSM = dsm.Config{GCPressure: gcTriggerPressure(trigger, procs), GCPolicy: policy}
 			res, err := water.RunTmk(p, procs)
 			if err != nil {
 				return rows, err

@@ -24,7 +24,7 @@ func TestAcquireGCBoundsQSORTChain(t *testing.T) {
 	run := func(mult, pressure int) int64 {
 		p := qsort.Small()
 		p.N *= mult
-		p.GCPressure = pressure
+		p.DSM.GCPressure = pressure
 		res, err := qsort.RunTmk(p, 8)
 		if err != nil {
 			t.Fatalf("qsort x%d: %v", mult, err)
@@ -79,7 +79,7 @@ func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 	sw := func(mult, pressure int) int64 {
 		p := sweep3d.Small()
 		p.NX *= mult // more pipeline stage units per node -> more intervals
-		p.GCPressure = pressure
+		p.DSM.GCPressure = pressure
 		res, err := sweep3d.RunTmk(p, 8)
 		if err != nil {
 			t.Fatalf("sweep3d NXx%d: %v", mult, err)
@@ -98,7 +98,7 @@ func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 	ts := func(cities, pressure int) int64 {
 		p := tsp.Small()
 		p.NCities = cities // 11 -> 12 roughly quadruples the search
-		p.GCPressure = pressure
+		p.DSM.GCPressure = pressure
 		res, err := tsp.RunTmk(p, 8)
 		if err != nil {
 			t.Fatalf("tsp %d cities: %v", cities, err)
@@ -131,7 +131,7 @@ func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 // every attempt; a genuine policy regression fails all attempts.
 func TestAcquireGCPolicyRefetchPin(t *testing.T) {
 	const procs, rounds = 8, 64
-	run := func(policy string) (pageFetches, bytes, validated, flushed int64) {
+	run := func(policy dsm.GCPolicy) (pageFetches, bytes, validated, flushed int64) {
 		sys, err := GCLockSparse(procs, rounds, AcquireGCPressure(procs), policy)
 		if err != nil {
 			t.Fatalf("locksparse %s: %v", policy, err)
@@ -143,8 +143,8 @@ func TestAcquireGCPolicyRefetchPin(t *testing.T) {
 	const attempts = 4
 	var last string
 	for i := 0; i < attempts; i++ {
-		fPF, fB, fV, fF := run("flush")
-		vPF, vB, vV, vF := run("validate-hot")
+		fPF, fB, fV, fF := run(dsm.GCPolicyFlush)
+		vPF, vB, vV, vF := run(dsm.GCPolicyValidateHot)
 		if fF == 0 || vV == 0 {
 			t.Fatalf("policies did not engage: flush flushed %d, validate-hot validated %d", fF, vV)
 		}
@@ -224,16 +224,10 @@ func TestAblationGCPolicyGrid(t *testing.T) {
 // pressure under the validate-hot policy, across all three backends
 // (NOW, SMP — where the knobs are no-ops — and hybrid at one and two
 // islands): every implementation must still reproduce the sequential
-// checksum. Package defaults are flipped for the duration (Verified runs
-// bypass the grid cell cache), and restored by t.Cleanup AFTER the
-// parallel subtests finish.
+// checksum.
 func TestEquivalenceWithAcquireGC(t *testing.T) {
-	prevP := dsm.SetGCPressureDefault(8)
-	prevPol := dsm.SetGCPolicyDefault(dsm.GCPolicyValidateHot)
-	t.Cleanup(func() {
-		dsm.SetGCPressureDefault(prevP)
-		dsm.SetGCPolicyDefault(prevPol)
-	})
+	t.Parallel()
+	cfg := dsm.Config{GCPressure: 8, GCPolicy: dsm.GCPolicyValidateHot}
 	impls := []Impl{OMP, OMPSMP, HybridImpl(1), HybridImpl(2), Tmk}
 	for _, a := range Apps {
 		for _, impl := range impls {
@@ -241,7 +235,7 @@ func TestEquivalenceWithAcquireGC(t *testing.T) {
 				a, impl, procs := a, impl, procs
 				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name, impl, procs), func(t *testing.T) {
 					t.Parallel()
-					if _, err := Verified(a, Test, impl, procs); err != nil {
+					if _, err := Verified(a, Test, impl, procs, cfg); err != nil {
 						t.Error(err)
 					}
 				})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 )
 
 // TestCellCacheSingleflightConcurrent pins the property the serve
@@ -20,7 +21,7 @@ func TestCellCacheSingleflightConcurrent(t *testing.T) {
 	fake := App{
 		Name:   "cache-singleflight-probe", // unique: never collides with real cells
 		RunSeq: func(Scale) apps.Result { return apps.Result{Checksum: 42} },
-		Run: func(Scale, Impl, int) (apps.Result, error) {
+		Run: func(Scale, Impl, int, dsm.Config) (apps.Result, error) {
 			runs.Add(1)
 			return apps.Result{Checksum: 42, Time: 7}, nil
 		},

@@ -2,9 +2,10 @@ package harness
 
 // The cross-implementation equivalence contract: every implementation of
 // every registered application must reproduce the sequential checksum at
-// every processor count. The suite in equivalence_test.go iterates
-// Apps × Impls × EquivalenceProcs, so an application is covered the
-// moment it is added to Apps — no per-app test wiring required.
+// every processor count (checked by Verified). The suite in
+// equivalence_test.go iterates Apps × Impls × EquivalenceProcs, so an
+// application is covered the moment it is added to Apps — no per-app
+// test wiring required.
 
 // EquivalenceProcs is the processor grid of the equivalence suite: the
 // paper's full machine (8 workstations) and the powers of two below it.
@@ -17,12 +18,3 @@ var EquivalenceProcs = []int{1, 2, 4, 8}
 // reduced app scale — the full grid at these sizes would dominate the
 // suite's runtime).
 var EquivalenceSmokeProcs = []int{16, 32}
-
-// CheckEquivalence runs one implementation of one application at the
-// given processor count and verifies its checksum against the (memoized)
-// sequential oracle. It is the single helper behind the equivalence
-// suite and is exported so application packages can reuse it.
-func CheckEquivalence(a App, s Scale, impl Impl, procs int) error {
-	_, err := Verified(a, s, impl, procs)
-	return err
-}

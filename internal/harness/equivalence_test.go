@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/dsm"
 )
 
 // TestCrossImplementationEquivalence asserts that the OpenMP, TreadMarks,
@@ -17,7 +19,7 @@ func TestCrossImplementationEquivalence(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/p%d", a.Name, impl, procs)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					if err := CheckEquivalence(a, Test, impl, procs); err != nil {
+					if _, err := Verified(a, Test, impl, procs, dsm.Config{}); err != nil {
 						t.Error(err)
 					}
 				})
@@ -40,7 +42,7 @@ func TestEquivalenceBeyondPaperScale(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/p%d", a.Name, impl, procs)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					if err := CheckEquivalence(a, Test, impl, procs); err != nil {
+					if _, err := Verified(a, Test, impl, procs, dsm.Config{}); err != nil {
 						t.Error(err)
 					}
 				})
@@ -64,7 +66,7 @@ func TestHybridEquivalenceAcrossIslands(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/p%d", a.Name, impl, procs)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					if err := CheckEquivalence(a, Test, impl, procs); err != nil {
+					if _, err := Verified(a, Test, impl, procs, dsm.Config{}); err != nil {
 						t.Error(err)
 					}
 				})

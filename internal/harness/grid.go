@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 )
 
 // The experiment grid. Every table and figure of the evaluation is a set
@@ -176,7 +177,7 @@ func cachedVerified(a App, s Scale, impl Impl, procs int) (apps.Result, error) {
 		cellCache[key] = e
 	}
 	cellCacheMu.Unlock()
-	e.once.Do(func() { e.res, e.err = Verified(a, s, impl, procs) })
+	e.once.Do(func() { e.res, e.err = Verified(a, s, impl, procs, dsm.Config{}) })
 	return e.res, e.err
 }
 

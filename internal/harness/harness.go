@@ -23,6 +23,7 @@ import (
 	"repro/internal/apps/tsp"
 	"repro/internal/apps/water"
 	"repro/internal/core"
+	"repro/internal/dsm"
 )
 
 // Impl selects one of the implementations under comparison (plus
@@ -102,16 +103,6 @@ const (
 	Test Scale = "test"
 )
 
-// GCKnobs are per-run DSM metadata-GC overrides: the acquire-epoch
-// trigger pressure and the validate-vs-flush purge policy (see
-// dsm.Config.GCPressure / GCPolicy). A served job (serve.Job) may carry
-// them; the zero value applies no override and runs identically to the
-// plain grid cell.
-type GCKnobs struct {
-	Pressure int
-	Policy   string
-}
-
 // App is one of the seven registered applications, wired to its
 // implementations.
 type App struct {
@@ -124,261 +115,71 @@ type App struct {
 	Synch    string
 
 	RunSeq func(Scale) apps.Result
-	Run    func(s Scale, impl Impl, procs int) (apps.Result, error)
-	// RunGC is Run with GCKnobs applied to the DSM-backed backends. Nil
-	// for the applications whose Params do not plumb the knobs (3D-FFT,
-	// LU, Barnes); VerifiedGC rejects non-zero knobs for those.
-	RunGC func(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error)
+	// Run runs one implementation with cfg's protocol knobs applied to
+	// the DSM-backed backends; the zero dsm.Config is the paper's
+	// protocol.
+	Run func(s Scale, impl Impl, procs int, cfg dsm.Config) (apps.Result, error)
+}
+
+// newApp wires one application package into an App: full and small give
+// the workload at each Scale, knobs locates the protocol config inside
+// its Params, and the run functions are the package's implementations.
+// Every application dispatches implementations the same way, so this is
+// the single place an Impl maps to a backend.
+func newApp[P any](info App, full, small func() P, knobs func(*P) *dsm.Config,
+	seq func(P) apps.Result, ompOn func(P, int, core.BackendKind) (apps.Result, error),
+	tmk, mpi func(P, int) (apps.Result, error)) App {
+	params := func(s Scale) P {
+		if s == Full {
+			return full()
+		}
+		return small()
+	}
+	info.RunSeq = func(s Scale) apps.Result { return seq(params(s)) }
+	info.Run = func(s Scale, impl Impl, procs int, cfg dsm.Config) (apps.Result, error) {
+		p := params(s)
+		*knobs(&p) = cfg
+		if bk, ok := hybridBackendKind(impl); ok {
+			return ompOn(p, procs, bk)
+		}
+		switch impl {
+		case OMP:
+			return ompOn(p, procs, core.BackendNOW)
+		case OMPSMP:
+			return ompOn(p, procs, core.BackendSMP)
+		case Tmk:
+			return tmk(p, procs)
+		case MPI:
+			return mpi(p, procs)
+		}
+		return seq(p), nil
+	}
+	return info
 }
 
 // Apps lists the applications in the paper's Table 1 order.
 var Apps = []App{
-	{
-		Name:     "Sweep3D",
-		DataSize: "50x50x50, 6 angles",
-		Parallel: "parallel region",
-		Synch:    "semaphore",
-		RunSeq:   func(s Scale) apps.Result { return sweep3d.RunSeq(sweepParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			return runSweep3D(s, impl, procs, GCKnobs{})
-		},
-		RunGC: runSweep3D,
-	},
-	{
-		Name:     "3D-FFT",
-		DataSize: "64x64x64, 2 iters",
-		Parallel: "parallel do",
-		Synch:    "none",
-		RunSeq:   func(s Scale) apps.Result { return fft3d.RunSeq(fftParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			p := fftParams(s)
-			if bk, ok := hybridBackendKind(impl); ok {
-				return fft3d.RunOMPOn(p, procs, bk)
-			}
-			switch impl {
-			case OMP:
-				return fft3d.RunOMP(p, procs)
-			case OMPSMP:
-				return fft3d.RunOMPOn(p, procs, core.BackendSMP)
-			case Tmk:
-				return fft3d.RunTmk(p, procs)
-			case MPI:
-				return fft3d.RunMPI(p, procs)
-			}
-			return fft3d.RunSeq(p), nil
-		},
-	},
-	{
-		Name:     "Water",
-		DataSize: "512 molecules, 16 steps",
-		Parallel: "parallel do/region",
-		Synch:    "barrier",
-		RunSeq:   func(s Scale) apps.Result { return water.RunSeq(waterParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			return runWater(s, impl, procs, GCKnobs{})
-		},
-		RunGC: runWater,
-	},
-	{
-		Name:     "TSP",
-		DataSize: "14 cities",
-		Parallel: "parallel region",
-		Synch:    "critical",
-		RunSeq:   func(s Scale) apps.Result { return tsp.RunSeq(tspParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			return runTSP(s, impl, procs, GCKnobs{})
-		},
-		RunGC: runTSP,
-	},
-	{
-		Name:     "QSORT",
-		DataSize: "256K ints, bubble threshold 1024",
-		Parallel: "parallel region",
-		Synch:    "critical, condition variables",
-		RunSeq:   func(s Scale) apps.Result { return qsort.RunSeq(qsortParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			return runQSort(s, impl, procs, GCKnobs{})
-		},
-		RunGC: runQSort,
-	},
-	{
-		Name:     "LU",
-		DataSize: "512x512, contiguous blocks",
-		Parallel: "parallel region",
-		Synch:    "barrier, critical",
-		RunSeq:   func(s Scale) apps.Result { return lu.RunSeq(luParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			p := luParams(s)
-			if bk, ok := hybridBackendKind(impl); ok {
-				return lu.RunOMPOn(p, procs, bk)
-			}
-			switch impl {
-			case OMP:
-				return lu.RunOMP(p, procs)
-			case OMPSMP:
-				return lu.RunOMPOn(p, procs, core.BackendSMP)
-			case Tmk:
-				return lu.RunTmk(p, procs)
-			case MPI:
-				return lu.RunMPI(p, procs)
-			}
-			return lu.RunSeq(p), nil
-		},
-	},
-	{
-		Name:     "Barnes",
-		DataSize: "4096 bodies, 16 steps",
-		Parallel: "parallel region",
-		Synch:    "barrier",
-		RunSeq:   func(s Scale) apps.Result { return barnes.RunSeq(barnesParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			p := barnesParams(s)
-			if bk, ok := hybridBackendKind(impl); ok {
-				return barnes.RunOMPOn(p, procs, bk)
-			}
-			switch impl {
-			case OMP:
-				return barnes.RunOMP(p, procs)
-			case OMPSMP:
-				return barnes.RunOMPOn(p, procs, core.BackendSMP)
-			case Tmk:
-				return barnes.RunTmk(p, procs)
-			case MPI:
-				return barnes.RunMPI(p, procs)
-			}
-			return barnes.RunSeq(p), nil
-		},
-	},
-}
-
-// The per-app dispatchers below are the Run/RunGC bodies of the four
-// applications whose Params plumb the DSM GC knobs. Zero GCKnobs assign
-// the params' zero values, so Run(s, impl, procs) stays byte-identical to
-// the pre-knob closures.
-
-func runSweep3D(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	p := sweepParams(s)
-	p.GCPressure, p.GCPolicy = gc.Pressure, gc.Policy
-	if bk, ok := hybridBackendKind(impl); ok {
-		return sweep3d.RunOMPOn(p, procs, bk)
-	}
-	switch impl {
-	case OMP:
-		return sweep3d.RunOMP(p, procs)
-	case OMPSMP:
-		return sweep3d.RunOMPOn(p, procs, core.BackendSMP)
-	case Tmk:
-		return sweep3d.RunTmk(p, procs)
-	case MPI:
-		return sweep3d.RunMPI(p, procs)
-	}
-	return sweep3d.RunSeq(p), nil
-}
-
-func runWater(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	p := waterParams(s)
-	p.GCPressure, p.GCPolicy = gc.Pressure, gc.Policy
-	if bk, ok := hybridBackendKind(impl); ok {
-		return water.RunOMPOn(p, procs, bk)
-	}
-	switch impl {
-	case OMP:
-		return water.RunOMP(p, procs)
-	case OMPSMP:
-		return water.RunOMPOn(p, procs, core.BackendSMP)
-	case Tmk:
-		return water.RunTmk(p, procs)
-	case MPI:
-		return water.RunMPI(p, procs)
-	}
-	return water.RunSeq(p), nil
-}
-
-func runTSP(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	p := tspParams(s)
-	p.GCPressure, p.GCPolicy = gc.Pressure, gc.Policy
-	if bk, ok := hybridBackendKind(impl); ok {
-		return tsp.RunOMPOn(p, procs, bk)
-	}
-	switch impl {
-	case OMP:
-		return tsp.RunOMP(p, procs)
-	case OMPSMP:
-		return tsp.RunOMPOn(p, procs, core.BackendSMP)
-	case Tmk:
-		return tsp.RunTmk(p, procs)
-	case MPI:
-		return tsp.RunMPI(p, procs)
-	}
-	return tsp.RunSeq(p), nil
-}
-
-func runQSort(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	p := qsortParams(s)
-	p.GCPressure, p.GCPolicy = gc.Pressure, gc.Policy
-	if bk, ok := hybridBackendKind(impl); ok {
-		return qsort.RunOMPOn(p, procs, bk)
-	}
-	switch impl {
-	case OMP:
-		return qsort.RunOMP(p, procs)
-	case OMPSMP:
-		return qsort.RunOMPOn(p, procs, core.BackendSMP)
-	case Tmk:
-		return qsort.RunTmk(p, procs)
-	case MPI:
-		return qsort.RunMPI(p, procs)
-	}
-	return qsort.RunSeq(p), nil
-}
-
-func sweepParams(s Scale) sweep3d.Params {
-	if s == Full {
-		return sweep3d.Default()
-	}
-	return sweep3d.Small()
-}
-
-func fftParams(s Scale) fft3d.Params {
-	if s == Full {
-		return fft3d.Default()
-	}
-	return fft3d.Small()
-}
-
-func waterParams(s Scale) water.Params {
-	if s == Full {
-		return water.Default()
-	}
-	return water.Small()
-}
-
-func tspParams(s Scale) tsp.Params {
-	if s == Full {
-		return tsp.Default()
-	}
-	return tsp.Small()
-}
-
-func qsortParams(s Scale) qsort.Params {
-	if s == Full {
-		return qsort.Default()
-	}
-	return qsort.Small()
-}
-
-func luParams(s Scale) lu.Params {
-	if s == Full {
-		return lu.Default()
-	}
-	return lu.Small()
-}
-
-func barnesParams(s Scale) barnes.Params {
-	if s == Full {
-		return barnes.Default()
-	}
-	return barnes.Small()
+	newApp(App{Name: "Sweep3D", DataSize: "50x50x50, 6 angles", Parallel: "parallel region", Synch: "semaphore"},
+		sweep3d.Default, sweep3d.Small, func(p *sweep3d.Params) *dsm.Config { return &p.DSM },
+		sweep3d.RunSeq, sweep3d.RunOMPOn, sweep3d.RunTmk, sweep3d.RunMPI),
+	newApp(App{Name: "3D-FFT", DataSize: "64x64x64, 2 iters", Parallel: "parallel do", Synch: "none"},
+		fft3d.Default, fft3d.Small, func(p *fft3d.Params) *dsm.Config { return &p.DSM },
+		fft3d.RunSeq, fft3d.RunOMPOn, fft3d.RunTmk, fft3d.RunMPI),
+	newApp(App{Name: "Water", DataSize: "512 molecules, 16 steps", Parallel: "parallel do/region", Synch: "barrier"},
+		water.Default, water.Small, func(p *water.Params) *dsm.Config { return &p.DSM },
+		water.RunSeq, water.RunOMPOn, water.RunTmk, water.RunMPI),
+	newApp(App{Name: "TSP", DataSize: "14 cities", Parallel: "parallel region", Synch: "critical"},
+		tsp.Default, tsp.Small, func(p *tsp.Params) *dsm.Config { return &p.DSM },
+		tsp.RunSeq, tsp.RunOMPOn, tsp.RunTmk, tsp.RunMPI),
+	newApp(App{Name: "QSORT", DataSize: "256K ints, bubble threshold 1024", Parallel: "parallel region", Synch: "critical, condition variables"},
+		qsort.Default, qsort.Small, func(p *qsort.Params) *dsm.Config { return &p.DSM },
+		qsort.RunSeq, qsort.RunOMPOn, qsort.RunTmk, qsort.RunMPI),
+	newApp(App{Name: "LU", DataSize: "512x512, contiguous blocks", Parallel: "parallel region", Synch: "barrier, critical"},
+		lu.Default, lu.Small, func(p *lu.Params) *dsm.Config { return &p.DSM },
+		lu.RunSeq, lu.RunOMPOn, lu.RunTmk, lu.RunMPI),
+	newApp(App{Name: "Barnes", DataSize: "4096 bodies, 16 steps", Parallel: "parallel region", Synch: "barrier"},
+		barnes.Default, barnes.Small, func(p *barnes.Params) *dsm.Config { return &p.DSM },
+		barnes.RunSeq, barnes.RunOMPOn, barnes.RunTmk, barnes.RunMPI),
 }
 
 // seqCache memoizes sequential runs: they are deterministic, and every
@@ -430,41 +231,16 @@ func AppNames() []string {
 	return out
 }
 
-// Verified runs one implementation and checks its checksum against the
-// sequential run, returning an error on divergence — every reported
-// number comes from a validated computation.
-func Verified(a App, s Scale, impl Impl, procs int) (apps.Result, error) {
+// Verified runs one implementation under the protocol knobs cfg and
+// checks its checksum against the sequential run, returning an error on
+// divergence — every reported number comes from a validated computation.
+// The run is always fresh (the grid's cell cache sits above it).
+func Verified(a App, s Scale, impl Impl, procs int, cfg dsm.Config) (apps.Result, error) {
 	want := SeqCached(a, s)
 	if impl == Seq {
 		return want, nil
 	}
-	got, err := a.Run(s, impl, procs)
-	if err != nil {
-		return apps.Result{}, err
-	}
-	if err := apps.CheckClose(a.Name+"/"+string(impl), got.Checksum, want.Checksum, 1e-8); err != nil {
-		return apps.Result{}, err
-	}
-	return got, nil
-}
-
-// VerifiedGC is Verified with per-run GC-knob overrides (served jobs
-// carry them). Zero knobs dispatch through Verified on every app —
-// including the three whose Params don't plumb the knobs — and non-zero
-// knobs require App.RunGC. Unlike the cached grid cells, the run is
-// always fresh.
-func VerifiedGC(a App, s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	if gc == (GCKnobs{}) {
-		return Verified(a, s, impl, procs)
-	}
-	if a.RunGC == nil {
-		return apps.Result{}, fmt.Errorf("harness: app %s does not support GC knobs", a.Name)
-	}
-	want := SeqCached(a, s)
-	if impl == Seq {
-		return want, nil
-	}
-	got, err := a.RunGC(s, impl, procs, gc)
+	got, err := a.Run(s, impl, procs, cfg)
 	if err != nil {
 		return apps.Result{}, err
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/dsm"
 )
 
 func TestTable1TestScale(t *testing.T) {
@@ -44,7 +46,7 @@ func TestTable2TestScale(t *testing.T) {
 
 func TestVerifiedCatchesNothingOnGoodRuns(t *testing.T) {
 	for _, a := range Apps {
-		if _, err := Verified(a, Test, OMP, 2); err != nil {
+		if _, err := Verified(a, Test, OMP, 2, dsm.Config{}); err != nil {
 			t.Errorf("%s: %v", a.Name, err)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/dsm"
 )
 
 // TestHybridRaceSmoke is the application half of `make hybrid-race`: one
@@ -17,7 +19,7 @@ func TestHybridRaceSmoke(t *testing.T) {
 	if !ok {
 		t.Fatal("Water not registered")
 	}
-	if err := CheckEquivalence(a, Test, HybridImpl(2), 4); err != nil {
+	if _, err := Verified(a, Test, HybridImpl(2), 4, dsm.Config{}); err != nil {
 		t.Error(err)
 	}
 }

@@ -294,14 +294,14 @@ func (e *Endpoint) SendFrameAt(to, typ int, class Class, payload []byte, parts [
 }
 
 // TrySendFrameAt is SendFrameAt with non-blocking delivery: if the
-// destination's queue is full the frame is dropped, false is returned,
-// and nothing is counted. Like TrySendAt it is the only frame send a
-// protocol server may issue.
+// destination's queue is full, or the switch is down, the frame is
+// dropped, false is returned, and nothing is counted. Like TrySendAt it
+// is the only frame send a protocol server may issue.
 func (e *Endpoint) TrySendFrameAt(to, typ int, class Class, payload []byte, parts []FramePart, at sim.Time) bool {
 	m := e.build(to, typ, class, payload, at)
 	select {
 	case <-e.sw.down:
-		panic("network: switch is down")
+		return false
 	default:
 	}
 	select {
@@ -314,8 +314,11 @@ func (e *Endpoint) TrySendFrameAt(to, typ int, class Class, payload []byte, part
 }
 
 // TrySendAt is SendAt with non-blocking delivery: if the destination's
-// queue is full the message is dropped and false returned (nothing is
-// counted). Protocol SERVERS must use it for any request-class send —
+// queue is full, or the switch is down, the message is dropped and false
+// returned (nothing is counted). A down switch drops rather than panics
+// because a server may still be draining an optional push when a
+// finished run shuts the switch down; the server then exits at its next
+// receive. Protocol SERVERS must use it for any request-class send —
 // the no-deadlock argument for the bounded queues is that requests are
 // always drained by a server that never blocks, and a server blocking on
 // a peer's full queue while that peer's server blocks on ours would be
@@ -329,7 +332,7 @@ func (e *Endpoint) TrySendAt(to, typ int, class Class, payload []byte, at sim.Ti
 	m := e.build(to, typ, class, payload, at)
 	select {
 	case <-e.sw.down:
-		panic("network: switch is down")
+		return false
 	default:
 	}
 	select {

@@ -118,6 +118,25 @@ func TestShutdownUnblocksReceivers(t *testing.T) {
 	}
 }
 
+// TestTrySendDropsWhenDown: the non-blocking sends a protocol server may
+// still issue after a finished run shut the switch down drop the message
+// (false, nothing counted) instead of panicking.
+func TestTrySendDropsWhenDown(t *testing.T) {
+	sw := testSwitch(2)
+	var c0 sim.Clock
+	e0 := sw.Endpoint(0, &c0)
+	sw.Shutdown()
+	if e0.TrySendAt(1, 1, ClassRequest, []byte{1}, 0) {
+		t.Error("TrySendAt delivered on a down switch")
+	}
+	if e0.TrySendFrameAt(1, 1, ClassRequest, []byte{1}, []FramePart{{Type: 1, Bytes: 1}}, 0) {
+		t.Error("TrySendFrameAt delivered on a down switch")
+	}
+	if msgs, bytes := sw.Stats().Snapshot(); msgs != 0 || bytes != 0 {
+		t.Errorf("dropped sends counted: %d msgs, %d bytes", msgs, bytes)
+	}
+}
+
 func TestSwitchScalesQueues(t *testing.T) {
 	for _, tt := range []struct{ n, want int }{
 		{2, minQueueDepth},

@@ -19,20 +19,23 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/harness"
 	"repro/internal/sim"
 )
 
 // JobClass identifies one kind of job users submit: an application, the
 // implementation to run it as, a processor count, and optional per-job
-// DSM metadata-GC knobs. MixWeight biases the driver's class draw (a
-// weight-3 class arrives three times as often as a weight-1 class).
+// DSM protocol knobs (the mix grammar sets the acquire-epoch GC pressure
+// and purge policy; the zero value is the default protocol). MixWeight
+// biases the driver's class draw (a weight-3 class arrives three times as
+// often as a weight-1 class).
 type JobClass struct {
 	App       string
 	Impl      harness.Impl
 	Procs     int
 	MixWeight int
-	GC        harness.GCKnobs
+	DSM       dsm.Config
 }
 
 // Label names the class in reports: "app/impl/pN".
@@ -75,8 +78,8 @@ func (j *Job) E2E() sim.Time { return j.End - j.Arrival }
 // registered application name (case-sensitive), impl one of the harness
 // implementations (seq, omp, omp-smp, omp-hybrid[@K], tmk, mpi), pN the
 // processor count, w=K the arrival mix weight (default 1), and gc=P /
-// policy=X per-job acquire-epoch GC pressure and purge policy (only for
-// applications that plumb the knobs).
+// policy=X per-job acquire-epoch GC pressure and purge policy (see
+// dsm.Config.GCPressure and dsm.ParseGCPolicy).
 func ParseMix(spec string) ([]JobClass, error) {
 	var mix []JobClass
 	for _, part := range strings.Split(spec, ",") {
@@ -102,8 +105,7 @@ func parseClass(part string) (JobClass, error) {
 		return JobClass{}, fmt.Errorf("serve: class %q: want App:impl:pN[:w=K][:gc=P][:policy=X]", part)
 	}
 	c := JobClass{App: fields[0], Impl: harness.Impl(fields[1]), MixWeight: 1}
-	a, ok := harness.FindApp(c.App)
-	if !ok {
+	if _, ok := harness.FindApp(c.App); !ok {
 		return JobClass{}, fmt.Errorf("serve: class %q: unknown app %q", part, c.App)
 	}
 	if !validImpl(c.Impl) {
@@ -131,15 +133,16 @@ func parseClass(part string) (JobClass, error) {
 			if err != nil {
 				return JobClass{}, fmt.Errorf("serve: class %q: bad gc pressure %q", part, val)
 			}
-			c.GC.Pressure = p
+			c.DSM.GCPressure = p
 		case "policy":
-			c.GC.Policy = val
+			pol, err := dsm.ParseGCPolicy(val)
+			if err != nil {
+				return JobClass{}, fmt.Errorf("serve: class %q: %w", part, err)
+			}
+			c.DSM.GCPolicy = pol
 		default:
 			return JobClass{}, fmt.Errorf("serve: class %q: unknown option %q", part, key)
 		}
-	}
-	if c.GC != (harness.GCKnobs{}) && a.RunGC == nil {
-		return JobClass{}, fmt.Errorf("serve: class %q: app %s does not plumb GC knobs", part, c.App)
 	}
 	return c, nil
 }

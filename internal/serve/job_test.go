@@ -1,25 +1,27 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/dsm"
 	"repro/internal/harness"
 )
 
 func TestParseMix(t *testing.T) {
-	mix, err := ParseMix("Water:omp-smp:p4, TSP:omp:p4:w=3:gc=64:policy=adaptive ,3D-FFT:mpi:p8")
+	mix, err := ParseMix("Water:omp-smp:p4, TSP:omp:p4:w=3:gc=64:policy=adaptive ,3D-FFT:mpi:p8,LU:omp:p4:gc=16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mix) != 3 {
-		t.Fatalf("got %d classes, want 3", len(mix))
+	if len(mix) != 4 {
+		t.Fatalf("got %d classes, want 4", len(mix))
 	}
 	want0 := JobClass{App: "Water", Impl: harness.OMPSMP, Procs: 4, MixWeight: 1}
 	if mix[0] != want0 {
 		t.Fatalf("class 0 = %+v, want %+v", mix[0], want0)
 	}
 	want1 := JobClass{App: "TSP", Impl: harness.OMP, Procs: 4, MixWeight: 3,
-		GC: harness.GCKnobs{Pressure: 64, Policy: "adaptive"}}
+		DSM: dsm.Config{GCPressure: 64, GCPolicy: dsm.GCPolicyAdaptive}}
 	if mix[1] != want1 {
 		t.Fatalf("class 1 = %+v, want %+v", mix[1], want1)
 	}
@@ -31,6 +33,12 @@ func TestParseMix(t *testing.T) {
 	}
 	if mix[1].SlotWeight() != harness.CellUnitsPerWorker {
 		t.Fatalf("omp slot weight %d, want a full slot", mix[1].SlotWeight())
+	}
+	// Every application threads the protocol config, so GC knobs are
+	// accepted on all of them (LU included).
+	want3 := JobClass{App: "LU", Impl: harness.OMP, Procs: 4, MixWeight: 1, DSM: dsm.Config{GCPressure: 16}}
+	if mix[3] != want3 {
+		t.Fatalf("class 3 = %+v, want %+v", mix[3], want3)
 	}
 }
 
@@ -44,7 +52,6 @@ func TestParseMixRejects(t *testing.T) {
 		"Water:omp:4",           // missing p prefix
 		"Water:omp:p4:w=0",      // zero weight
 		"Water:omp:p4:x=1",      // unknown option
-		"3D-FFT:omp:p4:gc=64",   // 3D-FFT does not plumb GC knobs
 		"Water:omp:p4:gc=sixty", // non-numeric pressure
 		"Water:omp:p4:policy",   // option without value
 	}
@@ -52,6 +59,12 @@ func TestParseMixRejects(t *testing.T) {
 		if _, err := ParseMix(spec); err == nil {
 			t.Errorf("ParseMix(%q) accepted, want error", spec)
 		}
+	}
+	// A misspelled purge policy is rejected while parsing, with an error
+	// naming the class, instead of panicking when the job runs.
+	_, err := ParseMix("Water:omp-smp:p4,QSORT:tmk:p2:policy=bogus")
+	if err == nil || !strings.Contains(err.Error(), "QSORT:tmk:p2:policy=bogus") {
+		t.Errorf("bogus policy: got error %v, want one naming the class", err)
 	}
 }
 

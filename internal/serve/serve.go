@@ -31,7 +31,7 @@ type Config struct {
 	// checkpoint (default 3: the test runner's own helpers come and go).
 	GoroutineSlack int
 	// Runner executes one job and returns its verified result; the
-	// default constructs a fresh backend per job via harness.VerifiedGC.
+	// default constructs a fresh backend per job via harness.Verified.
 	// Tests swap in deterministic fakes.
 	Runner func(JobClass) (apps.Result, error)
 }
@@ -65,7 +65,7 @@ func NewScheduler(cfg Config) *Scheduler {
 			if !ok {
 				return apps.Result{}, fmt.Errorf("serve: unknown app %q", c.App)
 			}
-			return harness.VerifiedGC(a, scale, c.Impl, c.Procs, c.GC)
+			return harness.Verified(a, scale, c.Impl, c.Procs, c.DSM)
 		}
 	}
 	return &Scheduler{cfg: cfg}
