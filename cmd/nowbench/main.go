@@ -16,9 +16,8 @@
 //	nowbench -ablation gc          the GC ablations: every-episode vs
 //	                               adaptive vs off trigger counts, plus
 //	                               the acquire-epoch policy x trigger grid
-//	                               (flush / validate-hot / adaptive
-//	                               purges on a lock/semaphore kernel and
-//	                               on Water)
+//	                               (flush / validate-hot purges on a
+//	                               lock/semaphore kernel and on Water)
 //	nowbench -ablation all         both of the above
 //	nowbench -sweep                speedup curves for P = 1,2,4,8
 //	nowbench -scaling              the >8-node scaling-wall study: OpenMP

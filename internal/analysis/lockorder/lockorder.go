@@ -1,7 +1,7 @@
 // Package lockorder builds the package-local static mutex acquisition
 // graph and flags cycles — the classic AB/BA deadlock shape — across
 // the protocol's named mutexes (Node.mu, Node.fetchMu, the System
-// mutexes, the coordinator and engine locks).
+// mutexes, the GC collector and engine locks).
 //
 // A mutex is identified by its owning named type and field name
 // (Node.mu), or by package-level variable for free-standing locks;
@@ -37,8 +37,8 @@
 // acquisition site. The analysis is package-local and approximate in
 // the usual static ways (no aliasing through function values, linear
 // replay of branches, function literals replayed at their definition
-// point); a //nowlint:allow lockorder directive with a justification
-// records why a flagged edge cannot deadlock in practice.
+// point); a //nowlint:allow directive naming this analyzer, with a
+// justification, records why a flagged edge cannot deadlock in practice.
 package lockorder
 
 import (

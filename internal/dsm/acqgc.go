@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/network"
 )
@@ -42,10 +41,10 @@ import (
 //     time (it is a min over clocks genuinely carried in sync requests),
 //     so every node has stored every interval under F, and all future
 //     intervals have sequence numbers above F.
-//   - The coordinator announces epoch k+1 only after every node has
-//     reported a purge covering EVERY floor issued so far — acquire floors
+//   - The collector announces epoch k+1 only after every node has
+//     recorded a purge covering EVERY floor issued so far — acquire floors
 //     and collected barrier/fork-episode floors alike (gcEpochLocked feeds
-//     both into the coordinator). Once every node has purged ⊇ F, no node
+//     both into the collector). Once every node has purged ⊇ F, no node
 //     holds an unfetched write notice ≤ F, and none can ever reacquire
 //     one, so the diffs of intervals under F are unreachable forever:
 //     freeing them while processing epoch k+1 needs no further
@@ -54,9 +53,14 @@ import (
 //     previously announced acquire floor — before resuming application
 //     code, and a node parked in the episode cannot fetch).
 //
-// In the simulation the coordinator is a System-level registry standing in
-// for the managers' shared bookkeeping: the clocks it aggregates are the
-// ones genuinely present in the request wire format, and the epoch
+// Nodes purge an announced floor in any order. A foreign copy flushes
+// only once its page's home has purged the floor (the per-page flush
+// gate, see home.go), so every refetch rebuilds from a home copy that
+// already reflects the dropped notices, whatever the home layout.
+//
+// In the simulation the acquire source's bookkeeping lives in the
+// System's collector (gc.go): the clocks it aggregates are the ones
+// genuinely present in the request wire format, and the epoch
 // announcements and purge acknowledgments ride messages that already flow
 // (grants, acks, departures) — a few extra bytes the simulation does not
 // charge separately.
@@ -76,116 +80,44 @@ const DefaultGCPressure = 256
 type GCPolicy int
 
 const (
-	// GCPolicyDefault is the zero value; a System resolves it to
-	// GCPolicyFlush.
-	GCPolicyDefault GCPolicy = iota
-	// GCPolicyFlush discards every stale copy outright; the next access
-	// refetches the whole page from its home's validated copy. This is
-	// the classic TreadMarks invalidate choice and the pre-policy
-	// behaviour.
-	GCPolicyFlush
+	// GCPolicyFlush, the zero value, discards every stale copy outright;
+	// the next access refetches the whole page from its home's validated
+	// copy. This is the classic TreadMarks invalidate choice.
+	GCPolicyFlush GCPolicy = iota
 	// GCPolicyValidateHot fetches and applies the retired diffs of pages
 	// faulted since the last collection (hot pages — the ones the node
 	// will touch again), keeping their copies; cold pages are flushed.
 	GCPolicyValidateHot
-	// GCPolicyAdaptive validates hot pages only when their retired-notice
-	// chain is short (cheap to fetch as diffs); long chains and cold pages
-	// are flushed — a whole-page refetch is cheaper than a long diff walk.
-	GCPolicyAdaptive
 )
-
-// adaptiveValidateMaxChain is GCPolicyAdaptive's cutoff: a hot page owing
-// at most this many retired diffs is validated, a longer chain flushed.
-const adaptiveValidateMaxChain = 8
 
 // String returns the knob spelling accepted by ParseGCPolicy.
 func (p GCPolicy) String() string {
 	switch p {
-	case GCPolicyDefault:
-		return "default"
 	case GCPolicyFlush:
 		return "flush"
 	case GCPolicyValidateHot:
 		return "validate-hot"
-	case GCPolicyAdaptive:
-		return "adaptive"
 	}
 	return fmt.Sprintf("GCPolicy(%d)", int(p))
 }
 
-// ParseGCPolicy parses a policy knob ("", "default", "flush",
-// "validate-hot", "adaptive").
+// ParseGCPolicy parses a policy knob ("flush", "validate-hot"; "" and
+// "default" mean flush).
 func ParseGCPolicy(s string) (GCPolicy, error) {
 	switch s {
-	case "", "default":
-		return GCPolicyDefault, nil
-	case "flush":
+	case "", "default", "flush":
 		return GCPolicyFlush, nil
 	case "validate-hot":
 		return GCPolicyValidateHot, nil
-	case "adaptive":
-		return GCPolicyAdaptive, nil
 	}
-	return GCPolicyDefault, fmt.Errorf("dsm: unknown GC policy %q", s)
-}
-
-// acqCoord is the acquire-epoch consensus state: the simulation stand-in
-// for bookkeeping the lock/semaphore/condvar managers share. Its mutex is
-// a leaf — no method touches a node's state — so nodes may call it with or
-// without their own mutex held.
-type acqCoord struct {
-	mu       sync.Mutex
-	pressure int64
-
-	// reported[i] is the latest clock node i has carried on any sync
-	// request (a sound lower bound of its true clock; clocks only grow).
-	reported []VectorClock
-	// purged[i] is the merged floor of every collection epoch node i has
-	// completed (acquire and barrier/fork sources alike).
-	purged []VectorClock
-	// baseline is the merged floor of every epoch issued so far:
-	// announced acquire floors plus collected episode floors. The next
-	// announcement is gated on every purged[i] covering it.
-	baseline VectorClock
-	baseSum  int64
-
-	announced int64 // acquire epochs announced
-	pushes    int64 // consensus push rounds initiated
-
-	// Push-round pacing: a round is started only when at least pushGap
-	// reports have arrived since the last one. The gap starts at procs
-	// and doubles each time a round completes without any consensus
-	// progress (some thread the consensus is stuck on — say, a condvar
-	// waiter whose wake depends on the pressured thread itself — cannot
-	// be helped by more messages), resetting once progress resumes; a
-	// pressured node can therefore never storm the quiet ones.
-	reports   int64
-	pushStamp int64
-	pushGap   int64
-	pushProg  int64 // progressLocked() at the last push round
-
-	// gate ≥ 0 names a node that must purge every issued floor before any
-	// other node is handed it — the node-0-homes configuration, where one
-	// node's copy is the rebuild base of every flushed page. Sharded home
-	// policies pass -1: the per-page flush gate (the homePurged registry,
-	// see home.go) replaces the global ordering.
-	gate int
-}
-
-func newAcqCoord(procs int, pressure int, gate int) *acqCoord {
-	co := &acqCoord{pressure: int64(pressure), baseline: newVC(procs), pushGap: int64(procs), gate: gate}
-	for i := 0; i < procs; i++ {
-		co.reported = append(co.reported, newVC(procs))
-		co.purged = append(co.purged, newVC(procs))
-	}
-	return co
+	return GCPolicyFlush, fmt.Errorf("dsm: unknown GC policy %q", s)
 }
 
 // progressLocked is a monotone scalar that advances whenever any node
 // purges or an epoch is announced — what the backpressure loop and the
 // push backoff watch to distinguish "consensus under way" from
 // "consensus stuck on a thread only the application can unblock".
-func (co *acqCoord) progressLocked() int64 {
+func (co *collector) progressLocked() int64 {
 	p := co.announced
 	for _, v := range co.purged {
 		p += v.sum()
@@ -193,8 +125,8 @@ func (co *acqCoord) progressLocked() int64 {
 	return p
 }
 
-// progress is progressLocked under the coordinator lock.
-func (co *acqCoord) progress() int64 {
+// progress is progressLocked under the collector lock.
+func (co *collector) progress() int64 {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	return co.progressLocked()
@@ -214,40 +146,26 @@ func (co *acqCoord) progress() int64 {
 // returned deltas (the server-side handler): a push round's pacing state
 // (pushStamp, pushGap backoff) is consumed when the round is issued, and
 // consuming it without sending would silently swallow the round.
-func (co *acqCoord) report(id int, vc VectorClock, wantPush bool) (floor VectorClock, pending bool, push []int) {
+// Requires the acquire source to be on.
+func (co *collector) report(id int, vc VectorClock, wantPush bool) (floor VectorClock, pending bool, push []int) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.reports++
 	co.reported[id].merge(vc)
 	co.maybeAnnounceLocked()
-	// Ordering gate. With a gate node (node-0 homes) that node processes
-	// every epoch FIRST: a non-gate purge may flush a copy and later
-	// rebuild it from the gate's, so the gate's copy must already reflect
-	// every write under the floor by then — the ordering a barrier
-	// provides structurally (the root validates before any departure) and
-	// the acquire consensus must impose explicitly. Sharded homes need no
-	// global order: every purge consults the per-page flush gate (the
-	// homePurged registry), which enforces home-validates-first page by
-	// page, so any node may be handed a pending floor immediately.
-	if !co.baseline.dominatedBy(co.purged[id]) &&
-		(co.gate < 0 || id == co.gate || co.baseline.dominatedBy(co.purged[co.gate])) {
-		floor = co.baseline.clone()
-		pending = true
-	}
+	floor, pending = co.pendingFloorLocked(id)
 	// Push-round check: raw pressure counts every interval any node has
 	// reported beyond the issued baseline — the metadata actually
 	// accumulating somewhere — while the announcement path is blocked
-	// (floor held back by stale clocks, or gate held by missing purges).
+	// (floor held back by stale clocks, or by missing purges).
 	if !wantPush || co.reports-co.pushStamp < co.pushGap {
 		return floor, pending, nil
 	}
-	raw := int64(0)
 	union := co.reported[0].clone()
 	for _, r := range co.reported[1:] {
 		union.merge(r)
 	}
-	raw = union.sum() - co.baseSum
-	if raw < co.pressure {
+	if union.sum()-co.baseSum < co.pressure {
 		return floor, pending, nil
 	}
 	for i := range co.reported {
@@ -273,20 +191,24 @@ func (co *acqCoord) report(id int, vc VectorClock, wantPush bool) (floor VectorC
 	return floor, pending, push
 }
 
-// pendingFloorFor returns the floor of an issued epoch node id has not
-// yet purged, honoring the gate ordering — report()'s pending condition
-// without registering a report or consuming push pacing. Frame senders
-// use it to piggyback a msgGCFloor announcement onto a consensus delta
-// already bound for the peer, so a quiet node learns of the epoch one
-// datagram earlier than its own next sync operation would.
-func (co *acqCoord) pendingFloorFor(id int) (VectorClock, bool) {
+// pendingFloorLocked returns the issued baseline when node id has not yet
+// purged it. Requires co.mu.
+func (co *collector) pendingFloorLocked(id int) (VectorClock, bool) {
+	if co.baseline.dominatedBy(co.purged[id]) {
+		return nil, false
+	}
+	return co.baseline.clone(), true
+}
+
+// pendingFloorFor is report()'s pending condition without registering a
+// report or consuming push pacing. Frame senders use it to piggyback a
+// msgGCFloor announcement onto a frame already bound for the peer, so a
+// quiet node learns of the epoch one datagram earlier than its own next
+// sync operation would.
+func (co *collector) pendingFloorFor(id int) (VectorClock, bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if !co.baseline.dominatedBy(co.purged[id]) &&
-		(co.gate < 0 || id == co.gate || co.baseline.dominatedBy(co.purged[co.gate])) {
-		return co.baseline.clone(), true
-	}
-	return nil, false
+	return co.pendingFloorLocked(id)
 }
 
 // maybeAnnounceLocked issues a new acquire epoch when (a) every node has
@@ -294,7 +216,7 @@ func (co *acqCoord) pendingFloorFor(id int) (VectorClock, bool) {
 // one-epoch-delayed free sound, and blocks announcements while a barrier
 // episode's purges are still in flight — and (b) the consensus floor would
 // newly retire at least the pressure threshold.
-func (co *acqCoord) maybeAnnounceLocked() {
+func (co *collector) maybeAnnounceLocked() {
 	for _, p := range co.purged {
 		if !co.baseline.dominatedBy(p) {
 			return
@@ -319,22 +241,12 @@ func (co *acqCoord) maybeAnnounceLocked() {
 	co.announced++
 }
 
-// notePurged records that node id has completed a collection epoch with
-// the given floor (its copies owe no diff under it, and never will again).
-func (co *acqCoord) notePurged(id int, floor VectorClock) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.purged[id].merge(floor)
-	// A node's clock dominates any floor it purged.
-	co.reported[id].merge(floor)
-}
-
 // noteIssued folds a collected barrier/fork-episode floor into the
 // baseline (called by node 0 when it decides an episode collects, BEFORE
 // any departure or fork goes out): announcements stay blocked until every
 // node has processed the episode, and episode-driven retirement does not
 // count toward acquire pressure.
-func (co *acqCoord) noteIssued(floor VectorClock) {
+func (co *collector) noteIssued(floor VectorClock) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.baseline.merge(floor)
@@ -342,7 +254,7 @@ func (co *acqCoord) noteIssued(floor VectorClock) {
 }
 
 // announcedCount returns the number of acquire epochs issued so far.
-func (co *acqCoord) announcedCount() int64 {
+func (co *collector) announcedCount() int64 {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	return co.announced
@@ -382,10 +294,10 @@ func (n *Node) routeTargetsLocked(targets []int) (hops []int, byHop map[int][]in
 	return hops, byHop
 }
 
-// consensusFrameLocked assembles one tree-routed consensus frame bound
-// for hop: a msgGCSync sub carrying the trailer delta against the hop's
-// piggyback estimate plus the varint relay list of destinations past the
-// hop (appended after the trailer; a flat or reverse delta simply has no
+// consensusFrameLocked assembles one consensus frame bound for hop: a
+// msgGCSync sub carrying the trailer delta against the hop's piggyback
+// estimate plus the varint relay list of destinations past the hop
+// (appended after the trailer; a flat push or reverse delta simply has no
 // trailing bytes), and a msgGCFloor sub when the hop owes an issued
 // epoch. The hop incorporates the delta and forwards each remaining
 // destination one hop onward with a delta recomputed from its own merged
@@ -403,14 +315,21 @@ func (n *Node) consensusFrameLocked(hop int, relay []int) *frameBuilder {
 	}
 	f := n.newFrame()
 	f.add(msgGCSync, w.b)
-	if co := n.sys.acq; co != nil {
-		if floor, ok := co.pendingFloorFor(hop); ok {
-			var fw wbuf
-			putVC(&fw, floor)
-			f.add(msgGCFloor, fw.b)
-		}
-	}
+	n.addPendingFloor(f, hop)
 	return f
+}
+
+// addPendingFloor appends a msgGCFloor sub announcing the issued epoch
+// floor peer has not purged yet, if any, and reports whether it did.
+func (n *Node) addPendingFloor(f *frameBuilder, peer int) bool {
+	floor, ok := n.sys.gc.pendingFloorFor(peer)
+	if !ok {
+		return false
+	}
+	var w wbuf
+	putVC(&w, floor)
+	f.add(msgGCFloor, w.b)
+	return true
 }
 
 // gcSpinTries bounds the backpressure loop of gcSyncHook: a pressured
@@ -421,11 +340,11 @@ func (n *Node) consensusFrameLocked(hop int, relay []int) *frameBuilder {
 const gcSpinTries = 4096
 
 // gcSyncHook runs after every application-side synchronization operation:
-// it reports the calling thread's clock to the coordinator (the clock is
+// it reports the calling thread's clock to the collector (the clock is
 // genuinely on the wire in the operation's request), processes any
 // announced epoch this node has not purged yet — the node's side of the
 // epoch consensus, piggybacked on the operation's grant — and, when the
-// coordinator asks for a push round, sends consensus-sync deltas to the
+// collector asks for a push round, sends consensus-sync deltas to the
 // quiet nodes holding the floor back. While this node's own retained
 // chain sits far past the trigger, the hook additionally applies
 // backpressure, yielding the processor so the peers' protocol servers can
@@ -445,8 +364,8 @@ const gcSpinTries = 4096
 // backpressure lives.
 func (c *Client) gcSyncHook(spin bool) {
 	n := c.n
-	co := n.sys.acq
-	if co == nil {
+	co := n.sys.gc
+	if !co.acquireOn() {
 		return
 	}
 	c.gcSyncOnce()
@@ -507,68 +426,41 @@ func (c *Client) retainedChain() int {
 // any requested push deltas.
 func (c *Client) gcSyncOnce() {
 	n := c.n
-	co := n.sys.acq
 	n.mu.Lock()
 	vc := n.vc.clone()
 	n.mu.Unlock()
-	floor, pending, push := co.report(n.id, vc, true)
+	floor, pending, push := n.sys.gc.report(n.id, vc, true)
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if pending {
-		n.mu.Lock()
-		done := n.acqEpochLocked(c, floor)
-		n.mu.Unlock()
-		if done {
-			// Only the client that actually ran the purge acknowledges:
-			// the coordinator free-gates on this, and an island-mate that
-			// found the epoch already claimed must not vouch for an
-			// unfinished purge.
-			co.notePurged(n.id, floor)
-		}
+		n.acqEpochLocked(c, floor)
 	}
-	if len(push) > 0 && n.gcTreeConsensus() {
-		// Hierarchical push: instead of one datagram per quiet node —
-		// O(P) from the pusher every round, O(P²) consensus traffic as
-		// rounds scale with the node count — route the round through the
-		// combining tree. The pusher sends ONE frame per first hop
-		// (children subtrees and the parent, at most fanin+1 of them);
-		// each hop incorporates the delta and relays the destinations
-		// beyond it with deltas recomputed from its own merged state, so
-		// every node's per-round fan-out is bounded by its tree degree
-		// and round traffic totals O(P) frames along tree edges.
-		n.mu.Lock()
-		hops, byHop := n.routeTargetsLocked(push)
-		for _, h := range hops {
-			f := n.consensusFrameLocked(h, byHop[h])
-			n.noteSentLocked(h)
-			n.stats.GCSyncPushes++
-			// Sent under mu: atomic with the estimate update.
-			f.sendAt(h, c.clk.Now())
-		}
-		n.mu.Unlock()
+	if len(push) == 0 {
 		return
 	}
-	for _, j := range push {
-		// One delta per quiet node, exactly like a flush notice: their
-		// servers incorporate it in wire order, raising their clocks past
-		// the pressured node's intervals so the consensus floor can
-		// advance without waiting for their application threads.
-		n.mu.Lock()
-		// Coalesce the push delta with a pending-floor announcement for
-		// the same peer into one frame, so a quiet node both raises its
-		// clock and learns of the epoch it owes in a single datagram.
-		var w wbuf
-		putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[j]))
-		f := n.newFrame()
-		f.add(msgGCSync, w.b)
-		if floor, ok := co.pendingFloorFor(j); ok {
-			var fw wbuf
-			putVC(&fw, floor)
-			f.add(msgGCFloor, fw.b)
-		}
-		n.noteSentLocked(j)
+	// Flat tree: one frame straight to each quiet node, exactly like a
+	// flush notice — their servers incorporate it in wire order, raising
+	// their clocks past the pressured node's intervals so the consensus
+	// floor can advance without waiting for their application threads.
+	// Beyond it the push is hierarchical: instead of one datagram per
+	// quiet node — O(P) from the pusher every round, O(P²) consensus
+	// traffic as rounds scale with the node count — the round routes
+	// through the combining tree. The pusher sends ONE frame per first hop
+	// (children subtrees and the parent, at most fanin+1 of them); each
+	// hop incorporates the delta and relays the destinations beyond it
+	// with deltas recomputed from its own merged state, so every node's
+	// per-round fan-out is bounded by its tree degree and round traffic
+	// totals O(P) frames along tree edges.
+	hops, byHop := push, map[int][]int(nil)
+	if n.gcTreeConsensus() {
+		hops, byHop = n.routeTargetsLocked(push)
+	}
+	for _, h := range hops {
+		f := n.consensusFrameLocked(h, byHop[h])
+		n.noteSentLocked(h)
 		n.stats.GCSyncPushes++
 		// Sent under mu: atomic with the estimate update.
-		f.sendAt(j, c.clk.Now())
-		n.mu.Unlock()
+		f.sendAt(h, c.clk.Now())
 	}
 }
 
@@ -577,13 +469,10 @@ func (c *Client) gcSyncOnce() {
 // if an issued epoch is pending here and no application fetch is in
 // flight — run it flush-only right now, so a node parked on a condition
 // variable or deep in a compute phase neither holds the consensus floor
-// nor gates the next announcement. The gate node (node-0 homes) never
-// collects in server context: its purge must validate (fetch diffs),
-// which a server cannot block on; its application-thread hook runs the
-// epoch instead. Under sharded homes the same deferral happens per page
-// through gcCanFlushAllLocked: a node homing covered-owing pages, or
-// holding pages whose home has not purged the floor, leaves the epoch to
-// its application thread.
+// nor gates the next announcement. A node whose purge must validate
+// (fetch diffs, which a server cannot block on) leaves the epoch to its
+// application thread: gcCanFlushAllLocked refuses when the node homes a
+// covered-owing page or holds one whose home has not purged the floor.
 func (n *Node) handleGCSync(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	senderVC, recs := getTrailer(&r)
@@ -631,13 +520,7 @@ func (n *Node) handleGCSync(m *network.Message) {
 		putTrailer(&w, n.vc, back)
 		f.add(msgGCSync, w.b)
 	}
-	if co := n.sys.acq; co != nil {
-		if floor, ok := co.pendingFloorFor(m.From); ok {
-			var fw wbuf
-			putVC(&fw, floor)
-			f.add(msgGCFloor, fw.b)
-		}
-	}
+	n.addPendingFloor(f, m.From)
 	if f.count() > 0 && f.trySendAt(m.From, at) && len(back) > 0 {
 		n.noteSentLocked(m.From)
 		n.stats.GCSyncPushes++
@@ -670,7 +553,7 @@ func (n *Node) handleGCSync(m *network.Message) {
 // server-side epoch right away instead of waiting for this node's next
 // sync operation. The decoded floor keeps the announcement honest on the
 // wire (its bytes are charged as GC-consensus traffic), but the
-// coordinator registry remains authoritative for which floor this node
+// collector remains authoritative for which floor this node
 // actually owes — a stale frame can never start a purge the registry
 // would not hand out itself.
 func (n *Node) handleGCFloor(m *network.Message) {
@@ -688,12 +571,12 @@ func (n *Node) handleGCFloor(m *network.Message) {
 // issued epoch is pending here and no application fetch is in flight,
 // run it flush-only right now.
 func (n *Node) gcFloorAttemptServer(vc VectorClock) {
-	co := n.sys.acq
-	if co == nil {
+	co := n.sys.gc
+	if !co.acquireOn() {
 		return
 	}
 	floor, pending, _ := co.report(n.id, vc, false)
-	if !pending || n.id == co.gate {
+	if !pending {
 		return
 	}
 	// The TryLock is load-bearing: if the application thread is mid-fetch
@@ -705,70 +588,59 @@ func (n *Node) gcFloorAttemptServer(vc VectorClock) {
 		return
 	}
 	n.mu.Lock()
-	//nowlint:allow lockorder -- acqEpoch with serverSide=true swaps the purge closure for the flush-only gcFlushCoveredLocked before running it, so the gcPurgePagesLocked path that re-takes fetchMu is unreachable under this TryLock; the analyzer cannot see past the value dependency
-	done := n.acqEpochServerLocked(floor)
+	n.acqEpochServerLocked(floor)
 	n.mu.Unlock()
 	n.fetchMu.Unlock()
-	if done {
-		co.notePurged(n.id, floor)
-	}
 }
 
-// acqEpochLocked processes one announced acquire epoch on this node: free
-// what the PREVIOUS acquire epoch retired, purge page copies up to the new
-// floor per the policy, and advance the floor. Requires n.mu; the purge
-// may release and reacquire it around its diff-fetch wave. Returns false
-// if the floor was already covered (an island-mate claimed the epoch, or a
-// barrier episode superseded it).
-func (n *Node) acqEpochLocked(c *Client, floor VectorClock) bool {
-	return n.acqEpoch(c, floor, false)
-}
-
-// acqEpochServerLocked is the protocol-server variant used by the
-// consensus push (handleGCSync): the purge is flush-only and never
-// releases n.mu — a server cannot block on network replies. The caller
-// must hold BOTH n.mu and fetchMu.
-func (n *Node) acqEpochServerLocked(floor VectorClock) bool {
-	return n.acqEpoch(nil, floor, true)
-}
-
-func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) bool {
+// acqEpochLocked processes one announced acquire epoch on the
+// application thread: free what the PREVIOUS acquire epoch retired, purge
+// page copies up to the new floor per the policy, and advance the floor.
+// It does nothing if the floor is already covered (an island-mate claimed
+// the epoch, or a barrier episode superseded it). Requires n.mu; the
+// purge may release and reacquire it around its diff-fetch wave.
+func (n *Node) acqEpochLocked(c *Client, floor VectorClock) {
 	if n.gcPurgeVC != nil && floor.dominatedBy(n.gcPurgeVC) {
-		return false
+		return
 	}
-	if serverSide {
-		if !n.gcCanFlushAllLocked(floor) {
-			// Some covered-owing copy cannot be flushed — it holds own
-			// writes above the floor, is homed here (homes must validate),
-			// or its home has not purged the floor yet — and a validating
-			// purge fetches diffs, which a server cannot block on. Leave
-			// the epoch to the application thread.
-			return false
-		}
-		if !floor.dominatedBy(n.vc) {
-			// A stale push raced a just-issued barrier/fork episode: node
-			// 0 folds the episode floor into the coordinator baseline
-			// BEFORE this node's departure/fork delta arrives, so a push
-			// processed in that window hands us a floor covering intervals
-			// we have not incorporated yet. The episode delivery itself
-			// will purge past this floor moments later; skip.
-			return false
-		}
-	} else if !floor.dominatedBy(n.vc) {
+	if !floor.dominatedBy(n.vc) {
 		// Impossible on the application thread: the floor is a min over
 		// reported clocks (ours included) merged with episode floors whose
 		// episodes this thread has already processed.
 		panic(fmt.Sprintf("dsm: node %d acquire-epoch floor %v above local clock %v", n.id, floor, n.vc))
 	}
-	purge := func() { n.gcPurgePagesLocked(c, floor, floor, false) }
-	if serverSide {
-		// A node reached by a push is quiet — parked on a condition
-		// variable or deep in a compute phase — so its covered copies are
-		// cold: the policy question answers itself, and flushing needs no
-		// network.
-		purge = func() { n.gcFlushCoveredLocked(floor) }
-	}
-	n.gcCollectLocked(&n.gcAcqFreeVC, floor, purge)
+	n.gcCollectLocked(&n.gcAcqFreeVC, floor, func() { n.gcPurgePagesLocked(c, floor, floor, false) })
 	n.stats.GCAcqEpochs++
-	return true
+}
+
+// acqEpochServerLocked is the protocol-server epoch run by the consensus
+// push (handleGCSync, handleGCFloor): the purge is flush-only and never
+// releases n.mu — a server cannot block on network replies. A node
+// reached by a push is quiet — parked on a condition variable or deep in
+// a compute phase — so its covered copies are cold: the policy question
+// answers itself, and flushing needs no network. The caller must hold
+// BOTH n.mu and fetchMu.
+func (n *Node) acqEpochServerLocked(floor VectorClock) {
+	if n.gcPurgeVC != nil && floor.dominatedBy(n.gcPurgeVC) {
+		return
+	}
+	if !n.gcCanFlushAllLocked(floor) {
+		// Some covered-owing copy cannot be flushed — it holds own writes
+		// above the floor, is homed here (homes must validate), or its
+		// home has not purged the floor yet — and a validating purge
+		// fetches diffs, which a server cannot block on. Leave the epoch
+		// to the application thread.
+		return
+	}
+	if !floor.dominatedBy(n.vc) {
+		// A stale push raced a just-issued barrier/fork episode: node 0
+		// folds the episode floor into the collector's baseline BEFORE
+		// this node's departure/fork delta arrives, so a push processed in
+		// that window hands us a floor covering intervals we have not
+		// incorporated yet. The episode delivery itself will purge past
+		// this floor moments later; skip.
+		return
+	}
+	n.gcCollectLocked(&n.gcAcqFreeVC, floor, func() { n.gcFlushCoveredLocked(floor) })
+	n.stats.GCAcqEpochs++
 }

@@ -80,7 +80,7 @@ func TestAcquireGCRetiresWithoutBarriers(t *testing.T) {
 	}
 	g := sys.GCSummary()
 	if g.AcqEpochs == 0 {
-		t.Error("coordinator announced no acquire epochs")
+		t.Error("collector announced no acquire epochs")
 	}
 	if g.Epochs > 2 {
 		// Only the fork boundary provides barrier/fork episodes here.
@@ -126,11 +126,14 @@ func TestAcquireGCBoundedChain(t *testing.T) {
 // for random plans of lock-protected read-modify-writes, scattered
 // single-writer writes, and semaphore handoffs, the final shared-memory
 // contents with the acquire collector on (at minimal pressure, under
-// every purge policy) must equal the GC-off contents word for word — the
-// collector, its consensus pushes, and the per-page policy are invisible
-// to the computation under any goroutine interleaving.
+// every purge policy and home layout) must equal the GC-off contents
+// word for word — the collector, its consensus pushes, and the per-page
+// policy are invisible to the computation under any goroutine
+// interleaving. Node-0 homes put every page's home on one node, so any
+// purge ordering the per-page flush gate failed to enforce shows here.
 func TestAcquireGCRandomizedInterleavings(t *testing.T) {
-	policies := []GCPolicy{GCPolicyFlush, GCPolicyValidateHot, GCPolicyAdaptive}
+	policies := []GCPolicy{GCPolicyFlush, GCPolicyValidateHot}
+	homes := []HomePolicy{HomePolicyBlockCyclic, HomePolicyNode0}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const P = 4
@@ -183,7 +186,9 @@ func TestAcquireGCRandomizedInterleavings(t *testing.T) {
 			})
 			return out, csum, err == nil
 		}
-		ref, refSum, ok := run(Config{Procs: P, GCPressure: -1})
+		pol := policies[uint64(seed)%uint64(len(policies))]
+		hp := homes[uint64(seed)/uint64(len(policies))%uint64(len(homes))]
+		ref, refSum, ok := run(Config{Procs: P, GCPressure: -1, HomePolicy: hp})
 		if !ok {
 			return false
 		}
@@ -191,14 +196,13 @@ func TestAcquireGCRandomizedInterleavings(t *testing.T) {
 		if want := int64(rounds * P * (P + 1) / 2); refSum != want {
 			return false
 		}
-		pol := policies[uint64(seed)%uint64(len(policies))]
-		got, gotSum, ok := run(Config{Procs: P, GCPressure: 2, GCPolicy: pol})
+		got, gotSum, ok := run(Config{Procs: P, GCPressure: 2, GCPolicy: pol, HomePolicy: hp})
 		if !ok || gotSum != refSum {
 			return false
 		}
 		for w := range ref {
 			if got[w] != ref[w] {
-				t.Logf("seed %d policy %v: word %d differs: GC on %d, off %d", seed, pol, w, got[w], ref[w])
+				t.Logf("seed %d policy %v homes %v: word %d differs: GC on %d, off %d", seed, pol, hp, w, got[w], ref[w])
 				return false
 			}
 		}
@@ -213,23 +217,19 @@ func TestAcquireGCRandomizedInterleavings(t *testing.T) {
 	}
 }
 
-// TestAcqCoordProperties drives the consensus coordinator itself with
-// random report/purge sequences and checks its safety invariants: every
-// announced floor is dominated by every clock reported at announcement
-// time (so every node has incorporated everything under it), the issued
-// baseline is monotone, and a new epoch is never announced while any
-// node's purges lag the previously issued floors (the gate that makes
-// the one-epoch-delayed free sound). Both gating modes are exercised:
-// gate 0 (node-0 homes) must hand a floor to a non-gate node only after
-// the gate node purged it; gate -1 (sharded homes, where the per-page
-// homePurged registry replaces the global order) must still only hand a
-// node floors dominated by its own reported clock.
+// TestAcqCoordProperties drives the collector's acquire source itself
+// with random report/purge sequences and checks its safety invariants:
+// every announced floor is dominated by every clock reported at
+// announcement time (so every node has incorporated everything under
+// it), the issued baseline is monotone, a new epoch is never announced
+// while any node's purges lag the previously issued floors (the gate
+// that makes the one-epoch-delayed free sound), and a node is only ever
+// handed a floor dominated by its own reported clock.
 func TestAcqCoordProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		procs := 2 + rng.Intn(6)
-		gate := rng.Intn(2) - 1 // -1 (sharded) or 0 (node-0 homes)
-		co := newAcqCoord(procs, 1+rng.Intn(8), gate)
+		co := newCollector(procs, 1+rng.Intn(8))
 		clocks := make([]VectorClock, procs)
 		for i := range clocks {
 			clocks[i] = newVC(procs)
@@ -275,16 +275,10 @@ func TestAcqCoordProperties(t *testing.T) {
 			}
 			prevBaseline = co.baseline.clone()
 			if pending {
-				if gate >= 0 && id != gate && !floor.dominatedBy(co.purged[gate]) {
-					// Gate-first ordering: a non-gate node is only handed a
-					// floor the gate node has already purged (its copies are
-					// the rebuild base of every flushed page).
-					return false
-				}
-				// Home-aware soundness (both modes): a node is only ever
-				// handed a floor below its own reported clock — it holds
-				// every notice the purge will classify, and the per-page
-				// flush gate needs nothing more from the coordinator.
+				// A node is only ever handed a floor below its own reported
+				// clock — it holds every notice the purge will classify, and
+				// the per-page flush gate needs nothing more from the
+				// collector.
 				if !floor.dominatedBy(co.reported[id]) {
 					return false
 				}
@@ -305,18 +299,18 @@ func TestGCPolicyParse(t *testing.T) {
 		want GCPolicy
 		ok   bool
 	}{
-		{"", GCPolicyDefault, true},
-		{"default", GCPolicyDefault, true},
+		{"", GCPolicyFlush, true},
+		{"default", GCPolicyFlush, true},
 		{"flush", GCPolicyFlush, true},
 		{"validate-hot", GCPolicyValidateHot, true},
-		{"adaptive", GCPolicyAdaptive, true},
-		{"bogus", GCPolicyDefault, false},
+		{"adaptive", GCPolicyFlush, false},
+		{"bogus", GCPolicyFlush, false},
 	} {
 		got, err := ParseGCPolicy(tt.in)
 		if (err == nil) != tt.ok || got != tt.want {
 			t.Errorf("ParseGCPolicy(%q) = (%v, %v), want (%v, ok=%v)", tt.in, got, err, tt.want, tt.ok)
 		}
-		if tt.ok && tt.in != "" {
+		if tt.ok && tt.in != "" && tt.in != "default" {
 			if s := got.String(); s != tt.in {
 				t.Errorf("GCPolicy(%v).String() = %q, want %q", got, s, tt.in)
 			}

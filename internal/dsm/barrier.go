@@ -268,20 +268,14 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 	// pending acquire floors pending) gets the announcement piggybacked
 	// onto its departure frame, so a whole parked subtree learns of the
 	// epoch from the wave instead of at each node's next sync operation.
-	co := n.sys.acq
 	frames := make([]*frameBuilder, len(arrivals))
 	for i, a := range arrivals {
 		var w wbuf
 		putTrailer(&w, depVC, n.deltaForLocked(a.vc))
 		f := n.newFrame()
 		f.add(msgBarrDepart, w.b)
-		if co != nil && !episodeCollects {
-			if floor, ok := co.pendingFloorFor(a.from); ok {
-				var fw wbuf
-				putVC(&fw, floor)
-				f.add(msgGCFloor, fw.b)
-				n.stats.GCDepartFloors++
-			}
+		if !episodeCollects && n.addPendingFloor(f, a.from) {
+			n.stats.GCDepartFloors++
 		}
 		frames[i] = f
 	}

@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -61,8 +62,9 @@ import (
 //     purges before any departure leaves it, so the full floor is already
 //     safe — and ≤8-processor runs stay byte-identical to the
 //     pre-sharding protocol. The acquire source (acqgc.go) has no such
-//     happens-before wave and gates flushes per page on the homePurged
-//     registry instead, overriding to validate while a home lags.
+//     happens-before wave and gates flushes per page on the collector's
+//     per-node purge floors instead, overriding to validate while a home
+//     lags.
 //
 //     The floor is always the root's clock AS CARRIED IN THE EPISODE'S
 //     MESSAGE, never the local clock: a node's protocol server may
@@ -72,12 +74,13 @@ import (
 //     epoch floors must be identical on every node for the one-epoch
 //     free delay to be sound.
 //
-//  3. Report the purge to the acquire-epoch coordinator (when one is
-//     running): collected episode floors join the coordinator's issued
-//     baseline, so acquire announcements stay blocked until every node
-//     has processed the episode — the interlock that lets the two epoch
-//     sources free behind their own floors without racing each other's
-//     validation fetches.
+//  3. Record the purge in the collector, the System's one registry of
+//     per-node purge floors (shared with the acquire source). Node 0
+//     also folds each collected episode floor into the acquire source's
+//     issued baseline, so acquire announcements stay blocked until every
+//     node has processed the episode — the interlock that lets the two
+//     epoch sources free behind their own floors without racing each
+//     other's validation fetches.
 //
 // Finally the knownVC estimates are raised to the freed floor (every
 // node provably incorporated everything under it one epoch ago), and the
@@ -85,6 +88,91 @@ import (
 // special handling here: a thread blocked on any of them keeps the
 // barrier — and therefore this collector — from running at all (the
 // acquire source is what collects for them).
+
+// collector is the GC state shared across nodes: the simulation stand-in
+// for what the TreadMarks managers learn from messages that already flow.
+// One System owns one collector, and both epoch sources read and write it.
+// Its mutex is a leaf — no method touches a node's state — so nodes call
+// it with or without their own mutex held.
+type collector struct {
+	mu sync.Mutex
+
+	// floors is the episode tripwire: per in-flight barrier/fork episode,
+	// the floor and trigger decision every node must agree on (see
+	// checkEpochFloor).
+	floors map[int64]*epochFloor
+	// purged[i] is the merged floor of every collection epoch node i has
+	// completed, from either source. It gates the next acquire
+	// announcement, and a foreign copy of a page homed at i may flush at
+	// an acquire epoch only once purged[i] covers the floor (home.go).
+	purged []VectorClock
+
+	// The acquire source (acqgc.go) runs only when pressure > 0. It is
+	// fixed at construction, so it is read without mu.
+	pressure int64
+	// reported[i] is the latest clock node i has carried on any sync
+	// request (a sound lower bound of its true clock; clocks only grow).
+	reported []VectorClock
+	// baseline is the merged floor of every epoch issued so far:
+	// announced acquire floors plus collected episode floors. The next
+	// announcement is gated on every purged[i] covering it.
+	baseline VectorClock
+	baseSum  int64
+
+	announced int64 // acquire epochs announced
+	pushes    int64 // consensus push rounds initiated
+
+	// Push-round pacing: a round is started only when at least pushGap
+	// reports have arrived since the last one. The gap starts at procs
+	// and doubles each time a round completes without any consensus
+	// progress (some thread the consensus is stuck on — say, a condvar
+	// waiter whose wake depends on the pressured thread itself — cannot
+	// be helped by more messages), resetting once progress resumes; a
+	// pressured node can therefore never storm the quiet ones.
+	reports   int64
+	pushStamp int64
+	pushGap   int64
+	pushProg  int64 // progressLocked() at the last push round
+}
+
+func newCollector(procs, pressure int) *collector {
+	co := &collector{
+		floors:   make(map[int64]*epochFloor),
+		pressure: int64(pressure),
+		baseline: newVC(procs),
+		pushGap:  int64(procs),
+	}
+	for i := 0; i < procs; i++ {
+		co.purged = append(co.purged, newVC(procs))
+		co.reported = append(co.reported, newVC(procs))
+	}
+	return co
+}
+
+// acquireOn reports whether the acquire source runs.
+func (co *collector) acquireOn() bool { return co.pressure > 0 }
+
+// notePurged records that node id has completed a collection epoch with
+// the given floor: its copies owe no diff under it, and never will again.
+// gcCollectLocked calls it right after the purge, so the registry never
+// runs ahead of the node's page state.
+func (co *collector) notePurged(id int, floor VectorClock) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.purged[id].merge(floor)
+	// A node's clock dominates any floor it purged.
+	co.reported[id].merge(floor)
+}
+
+// covers reports whether node id has completed a purge covering floor.
+// For a home, its copies of its own pages then reflect every write under
+// the floor (homes always validate their own pages), so peers may flush
+// theirs.
+func (co *collector) covers(id int, floor VectorClock) bool {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return floor.dominatedBy(co.purged[id])
+}
 
 // epochFloor tracks one episode's floor (and trigger-decision) agreement
 // across nodes.
@@ -99,13 +187,13 @@ type epochFloor struct {
 // given episode index: the first node to reach the episode records its
 // view, the rest must match, and the record is dropped once all have
 // checked in (so the tripwire itself retains nothing).
-func (s *System) checkEpochFloor(episode int64, id int, floor VectorClock, collect bool) {
-	s.gcMu.Lock()
-	defer s.gcMu.Unlock()
-	e, ok := s.gcFloors[episode]
+func (co *collector) checkEpochFloor(episode int64, id int, floor VectorClock, collect bool) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	e, ok := co.floors[episode]
 	if !ok {
 		e = &epochFloor{floor: floor.clone(), collect: collect}
-		s.gcFloors[episode] = e
+		co.floors[episode] = e
 	} else {
 		for i, v := range e.floor {
 			if floor[i] != v {
@@ -119,8 +207,8 @@ func (s *System) checkEpochFloor(episode int64, id int, floor VectorClock, colle
 		}
 	}
 	e.seen++
-	if e.seen == s.cfg.Procs {
-		delete(s.gcFloors, episode)
+	if e.seen == len(co.purged) {
+		delete(co.floors, episode)
 	}
 }
 
@@ -158,16 +246,17 @@ func (n *Node) gcEpochLocked(c *Client, retire VectorClock) {
 	// and trigger decision (they run the same episode sequence), or the
 	// one-epoch free delay breaks. Divergence here means a caller derived
 	// a floor from state that is not identical on every node.
-	n.sys.checkEpochFloor(episode, n.id, retire, collect)
+	co := n.sys.gc
+	co.checkEpochFloor(episode, n.id, retire, collect)
 	if !collect {
 		return
 	}
-	if n.sys.acq != nil && n.id == 0 {
+	if n.id == 0 && co.acquireOn() {
 		// Block acquire announcements until every node has processed this
 		// episode (noteIssued runs before any departure or fork message
 		// leaves node 0, so no node can still be unaware of the episode
-		// when the gate reopens).
-		n.sys.acq.noteIssued(retire)
+		// when announcements resume).
+		co.noteIssued(retire)
 	}
 
 	// Foreign-homed pages flush against the PREVIOUS collecting floor
@@ -182,9 +271,6 @@ func (n *Node) gcEpochLocked(c *Client, retire VectorClock) {
 	}
 	n.gcCollectLocked(&n.gcFreeVC, retire, func() { n.gcPurgePagesLocked(c, retire, flushVC, true) })
 	n.stats.GCEpochs++
-	if n.sys.acq != nil {
-		n.sys.acq.notePurged(n.id, retire)
-	}
 }
 
 // gcWillCollectLocked evaluates the episode trigger predicate for the
@@ -214,8 +300,9 @@ func (n *Node) gcWillCollectLocked(retire VectorClock) bool {
 // optimization, not a soundness requirement), advance the source floor,
 // claim it in gcPurgeVC BEFORE the purge can release n.mu (so a
 // concurrent island-mate's hook skips instead of double-purging), run the
-// purge, and close out the epoch bookkeeping. The soundness argument
-// requires both sources to execute exactly this sequence.
+// purge, record it in the collector, and close out the epoch bookkeeping.
+// The soundness argument requires both sources to execute exactly this
+// sequence.
 func (n *Node) gcCollectLocked(prev *VectorClock, floor VectorClock, purge func()) {
 	n.freeRetiredLocked(*prev)
 	if *prev != nil {
@@ -232,10 +319,10 @@ func (n *Node) gcCollectLocked(prev *VectorClock, floor VectorClock, purge func(
 		n.gcPurgeVC.merge(floor)
 	}
 	purge()
-	// Publish the completed purge in the home registry immediately (before
-	// the acquire coordinator hears of it): peers may flush pages homed
-	// here the moment our authoritative copies reflect the floor.
-	n.sys.purged.note(n.id, floor)
+	// Publish the completed purge immediately: peers may flush pages homed
+	// here the moment our authoritative copies reflect the floor, and the
+	// acquire source may announce once every node has purged.
+	n.sys.gc.notePurged(n.id, floor)
 	n.gcSeq++
 	n.pruneGCPagesLocked()
 }
@@ -315,16 +402,16 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 // flushing it would lose the only authoritative copy. A gated caller (the
 // acquire source, which has no episode wave to order purges) additionally
 // allows a foreign flush only once the home has purged the floor (the
-// per-page registry gate, see home.go); until then the home's copy does
+// per-page flush gate, see home.go); until then the home's copy does
 // not yet reflect the notices a flush would drop, and the policy is
 // overridden to validate. The barrier/fork source runs ungated: its
 // lagged flush floor is covered by every home by construction.
-func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, covered int, gated bool) bool {
+func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, gated bool) bool {
 	home := n.homeOf(pg.id)
 	if home == n.id {
 		return true
 	}
-	if gated && !n.sys.purged.covers(home, retire) {
+	if gated && !n.sys.gc.covers(home, retire) {
 		return true
 	}
 	if pg.data == nil {
@@ -336,13 +423,7 @@ func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, covered int,
 	// and the strict "since the last collection" reading would then flush
 	// every page it is about to re-read.
 	hot := pg.hotSeq >= 0 && n.gcSeq-pg.hotSeq <= 1
-	switch n.sys.gcPolicy {
-	case GCPolicyValidateHot:
-		return hot
-	case GCPolicyAdaptive:
-		return hot && covered <= adaptiveValidateMaxChain
-	}
-	return false // GCPolicyFlush
+	return hot && n.sys.cfg.GCPolicy == GCPolicyValidateHot
 }
 
 // gcCanFlushAllLocked reports whether a flush-only purge to the given
@@ -355,17 +436,7 @@ func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, covered int,
 // validate) when it fails.
 func (n *Node) gcCanFlushAllLocked(retire VectorClock) bool {
 	for _, pg := range n.gcPages {
-		if len(pg.missing) == 0 {
-			continue
-		}
-		covered := false
-		for _, m := range pg.missing {
-			if retire.covers(m.creator, m.seq) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if !owesCovered(pg, retire) {
 			continue
 		}
 		if pg.lastOwnSeq >= 0 && !retire.covers(n.id, pg.lastOwnSeq) {
@@ -377,7 +448,7 @@ func (n *Node) gcCanFlushAllLocked(retire VectorClock) bool {
 			// not yet guaranteed to reflect them.
 			return false
 		}
-		if home := n.homeOf(pg.id); home == n.id || !n.sys.purged.covers(home, retire) {
+		if home := n.homeOf(pg.id); home == n.id || !n.sys.gc.covers(home, retire) {
 			return false
 		}
 	}
@@ -437,20 +508,21 @@ func (n *Node) gcFlushPageLocked(pg *page, flushVC VectorClock) {
 // straddle the flush).
 func (n *Node) gcFlushCoveredLocked(retire VectorClock) {
 	for _, pg := range n.gcPages {
-		if len(pg.missing) == 0 {
-			continue
-		}
-		covered := false
-		for _, m := range pg.missing {
-			if retire.covers(m.creator, m.seq) {
-				covered = true
-				break
-			}
-		}
-		if covered {
+		if owesCovered(pg, retire) {
 			n.gcFlushPageLocked(pg, retire)
 		}
 	}
+}
+
+// owesCovered reports whether the page owes a write notice the floor
+// covers.
+func owesCovered(pg *page, retire VectorClock) bool {
+	for _, m := range pg.missing {
+		if retire.covers(m.creator, m.seq) {
+			return true
+		}
+	}
+	return false
 }
 
 // gcPurgePagesLocked is the purge step shared by both epoch sources:
@@ -462,7 +534,8 @@ func (n *Node) gcFlushCoveredLocked(retire VectorClock) {
 // floor are preserved either way. The quiescent flag distinguishes the
 // barrier/fork source (episode waves order purges, so flushes run
 // ungated against the lagged flushVC) from the acquire source (flushVC
-// equals the retire floor and the homePurged registry gates each flush).
+// equals the retire floor and the collector's purge floors gate each
+// flush).
 //
 // It requires n.mu and releases/reacquires it around the network section.
 // The whole purge holds fetchMu: page and diff replies route by message
@@ -527,7 +600,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 				mustKeep = true
 			}
 		}
-		if mustKeep || n.gcShouldValidateLocked(pg, retire, len(covered), !quiescent) {
+		if mustKeep || n.gcShouldValidateLocked(pg, retire, !quiescent) {
 			w := pageWork{pg: pg, fetch: covered, home: -1}
 			if pg.data == nil {
 				if pg.refetch {

@@ -68,8 +68,8 @@ func TestHomeNode0WireV2Pin(t *testing.T) {
 // every read internally); traffic may differ — sharded homes move first
 // copies and refetch bases — but correctness may not.
 func TestHomePoliciesAgree(t *testing.T) {
-	for _, hp := range []HomePolicy{HomePolicyBlockCyclic, HomePolicyNode0, HomePolicyFirstTouch} {
-		for _, pol := range []GCPolicy{GCPolicyFlush, GCPolicyValidateHot, GCPolicyAdaptive} {
+	for _, hp := range []HomePolicy{HomePolicyBlockCyclic, HomePolicyNode0} {
+		for _, pol := range []GCPolicy{GCPolicyFlush, GCPolicyValidateHot} {
 			homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: pol, HomePolicy: hp})
 		}
 	}
@@ -77,33 +77,17 @@ func TestHomePoliciesAgree(t *testing.T) {
 
 // TestHomeOfPolicies pins the home-assignment arithmetic.
 func TestHomeOfPolicies(t *testing.T) {
-	bc := newHomeTable(HomePolicyBlockCyclic, 4, 64)
+	bc := homeTable{policy: HomePolicyBlockCyclic, procs: 4}
 	for pid := 0; pid < 64; pid++ {
 		want := (pid / HomeBlockPages) % 4
 		if got := bc.homeOf(PageID(pid)); got != want {
 			t.Fatalf("block-cyclic home of page %d = %d, want %d", pid, got, want)
 		}
-		if got := bc.claim(PageID(pid), 3); got != want {
-			t.Fatalf("block-cyclic claim is not a no-op: page %d -> %d, want %d", pid, got, want)
-		}
 	}
-	n0 := newHomeTable(HomePolicyNode0, 4, 64)
+	n0 := homeTable{policy: HomePolicyNode0, procs: 4}
 	for pid := 0; pid < 64; pid += 7 {
 		if got := n0.homeOf(PageID(pid)); got != 0 {
 			t.Fatalf("node0 home of page %d = %d", pid, got)
 		}
-	}
-	ft := newHomeTable(HomePolicyFirstTouch, 4, 64)
-	if got := ft.homeOf(3); got != -1 {
-		t.Fatalf("unclaimed first-touch page has home %d, want -1", got)
-	}
-	if got := ft.claim(3, 2); got != 2 {
-		t.Fatalf("first claim of page 3 -> %d, want 2", got)
-	}
-	if got := ft.claim(3, 1); got != 2 {
-		t.Fatalf("second claim of page 3 -> %d, want winner 2", got)
-	}
-	if got := ft.homeOf(3); got != 2 {
-		t.Fatalf("claimed first-touch page has home %d, want 2", got)
 	}
 }

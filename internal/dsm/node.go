@@ -186,8 +186,7 @@ func (n *Node) pageFor(pid PageID) *page {
 		pg = &page{id: pid, hotSeq: -1, lastOwnSeq: -1}
 		if n.isHome(pid) {
 			// The page's home is its allocator and initial owner: its copy
-			// materializes as zeros, matching Tmk_malloc. (Under the first-
-			// touch policy this call claims the page.)
+			// materializes as zeros, matching Tmk_malloc.
 			pg.data = make([]byte, PageSize)
 			pg.state = pageReadOnly
 		}

@@ -168,7 +168,7 @@ func TestScatteredWriteConvergenceProperty(t *testing.T) {
 // to the computation (the barrier-free half of the contract lives in
 // acquire_gc_test.go).
 func TestScatteredWriteConvergenceWithAcquireGCProperty(t *testing.T) {
-	for _, pol := range []GCPolicy{GCPolicyFlush, GCPolicyValidateHot, GCPolicyAdaptive} {
+	for _, pol := range []GCPolicy{GCPolicyFlush, GCPolicyValidateHot} {
 		cfg := Config{GCPressure: 2, GCPolicy: pol}
 		if err := quick.Check(scatteredWriteConverges(cfg), &quick.Config{MaxCount: 8}); err != nil {
 			t.Fatalf("policy %v: %v", pol, err)

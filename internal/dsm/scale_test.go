@@ -47,9 +47,9 @@ func TestScale128TreeConsensusFanout(t *testing.T) {
 		t.Fatalf("consensus did not converge: %d acquire epochs, %d intervals retired",
 			st.GCAcqEpochs, st.IntervalsRetired)
 	}
-	sys.acq.mu.Lock()
-	rounds, announced := sys.acq.pushes, sys.acq.announced
-	sys.acq.mu.Unlock()
+	sys.gc.mu.Lock()
+	rounds, announced := sys.gc.pushes, sys.gc.announced
+	sys.gc.mu.Unlock()
 	if announced == 0 {
 		t.Error("no acquire epochs announced at 128 nodes: the floor never advanced")
 	}

@@ -76,7 +76,7 @@ type Config struct {
 	// disables acquire epochs, leaving only the barrier/fork source.
 	GCPressure int
 	// GCPolicy selects the per-page validate-vs-flush purge policy
-	// applied by non-manager nodes at every collection epoch (both
+	// applied to foreign-homed copies at every collection epoch (both
 	// sources). The zero value is GCPolicyFlush.
 	GCPolicy GCPolicy
 	// HomePolicy selects how initial page ownership is sharded across
@@ -105,20 +105,15 @@ type System struct {
 	nodes     []*Node
 	heapBytes int
 	gcOn      bool
-	gcPolicy  GCPolicy    // resolved purge policy (never GCPolicyDefault)
-	acq       *acqCoord   // acquire-epoch coordinator; nil when disabled
-	homes     *homeTable  // page → home resolution (see home.go)
-	purged    *homePurged // per-node purge-floor registry (flush gate)
-	fanin     int         // resolved barrier tree fan-in
+	gc        *collector // GC state shared across nodes (gc.go)
+	homes     homeTable  // page → home resolution (see home.go)
+	fanin     int        // resolved barrier tree fan-in
 
 	regionsMu sync.Mutex
 	regions   map[string]RegionFunc
 
 	heapMu   sync.Mutex
 	heapNext Addr
-
-	gcMu     sync.Mutex
-	gcFloors map[int64]*epochFloor // per-epoch floor agreement (see checkEpochFloor)
 
 	errOnce  sync.Once
 	err      error
@@ -152,19 +147,9 @@ func New(cfg Config) *System {
 		regions:   make(map[string]RegionFunc),
 		done:      make(chan struct{}),
 		gcOn:      !cfg.DisableGC && cfg.Procs > 1,
-		gcFloors:  make(map[int64]*epochFloor),
-		gcPolicy:  cfg.GCPolicy,
-	}
-	if s.gcPolicy == GCPolicyDefault {
-		s.gcPolicy = GCPolicyFlush
-	}
-	homePolicy := cfg.HomePolicy
-	if homePolicy == HomePolicyDefault {
-		homePolicy = HomePolicyBlockCyclic
+		homes:     homeTable{policy: cfg.HomePolicy, procs: cfg.Procs},
 	}
 	npages := cfg.HeapBytes / PageSize
-	s.homes = newHomeTable(homePolicy, cfg.Procs, npages)
-	s.purged = newHomePurged(cfg.Procs)
 	s.fanin = cfg.BarrierFanin
 	if s.fanin <= 0 {
 		s.fanin = DefaultBarrierFanin
@@ -184,17 +169,10 @@ func New(cfg Config) *System {
 			pressure *= cfg.Procs / 8
 		}
 	}
-	if s.gcOn && pressure > 0 {
-		// Under node-0 homes the coordinator keeps the historical node-0-
-		// first purge ordering (gate 0); sharded homes gate flushes per
-		// page through the purge registry instead, so any node may be
-		// handed a pending floor immediately.
-		gate := -1
-		if homePolicy == HomePolicyNode0 {
-			gate = 0
-		}
-		s.acq = newAcqCoord(cfg.Procs, pressure, gate)
+	if !s.gcOn {
+		pressure = 0 // the acquire source runs only with GC on
 	}
+	s.gc = newCollector(cfg.Procs, pressure)
 	for i := 0; i < cfg.Procs; i++ {
 		n := &Node{
 			sys:       s,
@@ -531,7 +509,7 @@ type GCStats struct {
 }
 
 // GCSummary reports the collector's accounting. With Config.GCMinRetire
-// == 0, Epochs equals Episodes; an adaptive threshold makes it a
+// == 0, Epochs equals Episodes; a positive threshold makes it a
 // fraction. AcqEpochs is nonzero only when lock/semaphore pressure
 // triggered the acquire source.
 func (s *System) GCSummary() GCStats {
@@ -547,8 +525,6 @@ func (s *System) GCSummary() GCStats {
 		g.PagesValidated += st.GCPagesValidated
 		g.PagesFlushed += st.GCPagesFlushed
 	}
-	if s.acq != nil {
-		g.AcqEpochs = s.acq.announcedCount()
-	}
+	g.AcqEpochs = s.gc.announcedCount()
 	return g
 }

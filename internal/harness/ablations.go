@@ -402,14 +402,31 @@ func AblationGCWater(steps, procs int) ([]GCAblationRow, error) {
 // policy. The trigger axis contrasts the barrier/fork-episode source
 // alone ("episode" — which cannot collect inside a lock-only region)
 // with acquire epochs at low pressure ("acquire"); the policy axis runs
-// dsm.Config.GCPolicy over flush / validate-hot / adaptive.
+// dsm.Config.GCPolicy over flush / validate-hot.
 // ---------------------------------------------------------------------
 
-// GCPolicies are the purge-policy arms of the grid.
-var GCPolicies = []dsm.GCPolicy{dsm.GCPolicyFlush, dsm.GCPolicyValidateHot, dsm.GCPolicyAdaptive}
+// gcPolicyArm is one (trigger, policy) row of the grid.
+type gcPolicyArm struct {
+	Trigger string // "episode" or "acquire"
+	Policy  dsm.GCPolicy
+}
 
-// GCTriggers are the epoch-source arms of the grid.
-var GCTriggers = []string{"episode", "acquire"}
+// The grid keeps only the rows that measure something. On the
+// lock-sparse kernel the episode trigger never collects, so one episode
+// row shows that; the acquire rows compare the policies. Water
+// barriers, so its acquire source never announces an epoch; its rows
+// compare the policies under the episode trigger alone.
+var (
+	gcLockSparseArms = []gcPolicyArm{
+		{"episode", dsm.GCPolicyFlush},
+		{"acquire", dsm.GCPolicyFlush},
+		{"acquire", dsm.GCPolicyValidateHot},
+	}
+	gcWaterArms = []gcPolicyArm{
+		{"episode", dsm.GCPolicyFlush},
+		{"episode", dsm.GCPolicyValidateHot},
+	}
+)
 
 // AcquireGCPressure is the grid's low acquire-epoch threshold for a
 // machine of `procs` nodes: a few rounds of per-node interval creation,
@@ -528,41 +545,37 @@ func GCLockSparse(procs, rounds int, pressure int, policy dsm.GCPolicy) (*dsm.Sy
 func AblationGCPolicy(rounds, steps, procs int) ([]GCPolicyRow, error) {
 	var rows []GCPolicyRow
 	name := fmt.Sprintf("locksparse x%d", rounds)
-	for _, trigger := range GCTriggers {
-		for _, policy := range GCPolicies {
-			sys, err := GCLockSparse(procs, rounds, gcTriggerPressure(trigger, procs), policy)
-			if err != nil {
-				return rows, err
-			}
-			msgs, bytes := sys.Switch().Stats().Snapshot()
-			retired, chain, _ := sys.ProtoSummary()
-			g := sys.GCSummary()
-			rows = append(rows, GCPolicyRow{
-				Workload: name, Trigger: trigger, Policy: policy, Procs: procs,
-				Time: sys.MaxClock(), Msgs: msgs, Bytes: bytes,
-				AcqEpochs: g.AcqEpochs, Retired: retired, PeakChain: chain,
-				Validated: g.PagesValidated, Flushed: g.PagesFlushed,
-			})
+	for _, arm := range gcLockSparseArms {
+		sys, err := GCLockSparse(procs, rounds, gcTriggerPressure(arm.Trigger, procs), arm.Policy)
+		if err != nil {
+			return rows, err
 		}
+		msgs, bytes := sys.Switch().Stats().Snapshot()
+		retired, chain, _ := sys.ProtoSummary()
+		g := sys.GCSummary()
+		rows = append(rows, GCPolicyRow{
+			Workload: name, Trigger: arm.Trigger, Policy: arm.Policy, Procs: procs,
+			Time: sys.MaxClock(), Msgs: msgs, Bytes: bytes,
+			AcqEpochs: g.AcqEpochs, Retired: retired, PeakChain: chain,
+			Validated: g.PagesValidated, Flushed: g.PagesFlushed,
+		})
 	}
 	wname := fmt.Sprintf("water x%d steps", steps)
-	for _, trigger := range GCTriggers {
-		for _, policy := range GCPolicies {
-			p := water.Small()
-			p.Steps = steps
-			p.DSM = dsm.Config{GCPressure: gcTriggerPressure(trigger, procs), GCPolicy: policy}
-			res, err := water.RunTmk(p, procs)
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, GCPolicyRow{
-				Workload: wname, Trigger: trigger, Policy: policy, Procs: procs,
-				Time: res.Time, Msgs: res.Messages, Bytes: res.Bytes,
-				AcqEpochs: res.GCAcqEpochs, Retired: res.IntervalsRetired,
-				PeakChain: res.PeakIntervalChain,
-				Validated: res.GCPagesValidated, Flushed: res.GCPagesFlushed,
-			})
+	for _, arm := range gcWaterArms {
+		p := water.Small()
+		p.Steps = steps
+		p.DSM = dsm.Config{GCPressure: gcTriggerPressure(arm.Trigger, procs), GCPolicy: arm.Policy}
+		res, err := water.RunTmk(p, procs)
+		if err != nil {
+			return rows, err
 		}
+		rows = append(rows, GCPolicyRow{
+			Workload: wname, Trigger: arm.Trigger, Policy: arm.Policy, Procs: procs,
+			Time: res.Time, Msgs: res.Messages, Bytes: res.Bytes,
+			AcqEpochs: res.GCAcqEpochs, Retired: res.IntervalsRetired,
+			PeakChain: res.PeakIntervalChain,
+			Validated: res.GCPagesValidated, Flushed: res.GCPagesFlushed,
+		})
 	}
 	return rows, nil
 }

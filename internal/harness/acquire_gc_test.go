@@ -183,7 +183,7 @@ func TestAblationGCPolicyGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := len(GCTriggers) * len(GCPolicies) * 2; len(rows) != want {
+		if want := 5; len(rows) != want { // three locksparse rows, two Water rows
 			t.Fatalf("grid produced %d rows, want %d", len(rows), want)
 		}
 		byKey := map[string]GCPolicyRow{}

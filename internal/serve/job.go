@@ -74,7 +74,7 @@ func (j *Job) E2E() sim.Time { return j.End - j.Arrival }
 //
 //	App:impl:pN[:w=K][:gc=P][:policy=X]
 //
-// e.g. "Water:omp-smp:p4,TSP:omp:p4:w=2:gc=64:policy=adaptive". App is a
+// e.g. "Water:omp-smp:p4,TSP:omp:p4:w=2:gc=64:policy=validate-hot". App is a
 // registered application name (case-sensitive), impl one of the harness
 // implementations (seq, omp, omp-smp, omp-hybrid[@K], tmk, mpi), pN the
 // processor count, w=K the arrival mix weight (default 1), and gc=P /

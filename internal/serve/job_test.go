@@ -9,7 +9,7 @@ import (
 )
 
 func TestParseMix(t *testing.T) {
-	mix, err := ParseMix("Water:omp-smp:p4, TSP:omp:p4:w=3:gc=64:policy=adaptive ,3D-FFT:mpi:p8,LU:omp:p4:gc=16")
+	mix, err := ParseMix("Water:omp-smp:p4, TSP:omp:p4:w=3:gc=64:policy=validate-hot ,3D-FFT:mpi:p8,LU:omp:p4:gc=16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestParseMix(t *testing.T) {
 		t.Fatalf("class 0 = %+v, want %+v", mix[0], want0)
 	}
 	want1 := JobClass{App: "TSP", Impl: harness.OMP, Procs: 4, MixWeight: 3,
-		DSM: dsm.Config{GCPressure: 64, GCPolicy: dsm.GCPolicyAdaptive}}
+		DSM: dsm.Config{GCPressure: 64, GCPolicy: dsm.GCPolicyValidateHot}}
 	if mix[1] != want1 {
 		t.Fatalf("class 1 = %+v, want %+v", mix[1], want1)
 	}
@@ -44,16 +44,17 @@ func TestParseMix(t *testing.T) {
 
 func TestParseMixRejects(t *testing.T) {
 	bad := []string{
-		"",                      // empty
-		"Water:omp-smp",         // missing procs
-		"NoSuchApp:omp:p4",      // unknown app
-		"Water:fortran:p4",      // unknown impl
-		"Water:omp:p0",          // zero procs
-		"Water:omp:4",           // missing p prefix
-		"Water:omp:p4:w=0",      // zero weight
-		"Water:omp:p4:x=1",      // unknown option
-		"Water:omp:p4:gc=sixty", // non-numeric pressure
-		"Water:omp:p4:policy",   // option without value
+		"",                             // empty
+		"Water:omp-smp",                // missing procs
+		"NoSuchApp:omp:p4",             // unknown app
+		"Water:fortran:p4",             // unknown impl
+		"Water:omp:p0",                 // zero procs
+		"Water:omp:4",                  // missing p prefix
+		"Water:omp:p4:w=0",             // zero weight
+		"Water:omp:p4:x=1",             // unknown option
+		"Water:omp:p4:gc=sixty",        // non-numeric pressure
+		"Water:omp:p4:policy",          // option without value
+		"QSORT:tmk:p2:policy=adaptive", // purge policy that no longer exists
 	}
 	for _, spec := range bad {
 		if _, err := ParseMix(spec); err == nil {
