@@ -53,7 +53,7 @@ hybrid-race:
 
 # Acquire-epoch GC smoke under the race detector: the GC property suite
 # (randomized lock/sema/cond interleavings, coordinator invariants,
-# bounded chains) plus the lock/semaphore applications — QSORT and
+# bounded chains, page-frame recycling) plus the lock/semaphore applications — QSORT and
 # Sweep3D at multiples of their test scale — with the collector forced to
 # low pressure. The consensus pushes, server-side purges, and fetch-lock
 # exclusion all exercise cross-goroutine edges, so this is where an

@@ -114,22 +114,15 @@ func ParseGCPolicy(s string) (GCPolicy, error) {
 }
 
 // progressLocked is a monotone scalar that advances whenever any node
-// purges or an epoch is announced — what the backpressure loop and the
-// push backoff watch to distinguish "consensus under way" from
-// "consensus stuck on a thread only the application can unblock".
+// purges or an epoch is announced — what the push backoff watches to
+// distinguish "consensus under way" from "consensus stuck on a thread
+// only the application can unblock".
 func (co *collector) progressLocked() int64 {
 	p := co.announced
 	for _, v := range co.purged {
 		p += v.sum()
 	}
 	return p
-}
-
-// progress is progressLocked under the collector lock.
-func (co *collector) progress() int64 {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.progressLocked()
 }
 
 // report records node id's clock as carried on a sync request and runs
@@ -376,15 +369,16 @@ func (c *Client) gcSyncHook(spin bool) {
 	if int64(c.retainedChain()) <= limit {
 		return
 	}
-	// Backpressure: yield while the consensus is demonstrably advancing
-	// (nodes purging, epochs announcing), re-running a consensus step
-	// every few yields. A consensus stuck on a thread only the
-	// application can unblock — a condvar waiter whose wake depends on
-	// this very thread — makes no progress, and the loop gives up after
-	// a short grace instead of stalling the application (or flooding the
-	// wire with retries; see pushGap).
-	prog := co.progress()
-	stuck := 0
+	// Backpressure: yield until the chain is back under the limit,
+	// re-running a consensus step every few yields. The wait is bounded
+	// only by gcSpinTries, not by how long the consensus shows no
+	// progress: the peers' purges need their application threads, and
+	// how many of this thread's yields that takes depends on how fast the
+	// host runs this thread's own protocol work, so any shorter grace
+	// lets the chain outrun the trigger on a fast host. A consensus stuck
+	// on a thread only this one can unblock — a condvar waiter whose wake
+	// depends on it — costs one full spin per release; push rounds inside
+	// the loop stay paced by pushGap, so the wait never floods the wire.
 	for try := 0; try < gcSpinTries; try++ {
 		select {
 		case <-n.sys.done:
@@ -397,11 +391,6 @@ func (c *Client) gcSyncHook(spin bool) {
 		}
 		c.gcSyncOnce()
 		if int64(c.retainedChain()) <= limit {
-			return
-		}
-		if p := co.progress(); p != prog {
-			prog, stuck = p, 0
-		} else if stuck++; stuck >= 8 {
 			return
 		}
 	}

@@ -61,6 +61,14 @@ func wireErrf(format string, args ...any) wireError {
 // rbuf decodes what wbuf encodes. Decoding errors indicate protocol bugs
 // (or, since frames cross the simulated wire, hostile input in the fuzz
 // suite), so they panic with a wireError rather than returning errors.
+//
+// Decoding copies nothing: need and bytes return sub-slices of the payload,
+// their capacity clipped to their length so an append by the holder
+// reallocates instead of overwriting the rest of the frame. That is sound
+// because a received payload belongs to its receiver — every payload is
+// built fresh for exactly one send and never kept or reused by its
+// sender — so the receiver may retain and even mutate what it decodes (a
+// page reply's bytes become the receiver's page copy as they are).
 type rbuf struct {
 	b   []byte
 	off int
@@ -70,7 +78,7 @@ func (r *rbuf) need(n int) []byte {
 	if n < 0 || r.off+n > len(r.b) {
 		panic(wireErrf("dsm: short message: need %d bytes at offset %d of %d", n, r.off, len(r.b)))
 	}
-	p := r.b[r.off : r.off+n]
+	p := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return p
 }
@@ -100,16 +108,10 @@ func (r *rbuf) i32() int     { return int(int32(r.u32())) }
 func (r *rbuf) i64() int64   { return int64(r.u64()) }
 func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func (r *rbuf) bytes() []byte {
-	// Validate the length against the bytes actually present before
-	// allocating: a truncated frame must hit the bounded short-message
-	// path, never size an allocation from the corrupted count.
-	n := int(r.u32())
-	p := r.need(n)
-	out := make([]byte, n)
-	copy(out, p)
-	return out
-}
+// bytes decodes a length-prefixed byte string as a bounds-checked,
+// capacity-clipped sub-slice of the payload (see the ownership rule on
+// rbuf).
+func (r *rbuf) bytes() []byte { return r.need(int(r.u32())) }
 
 func (r *rbuf) str() string { return string(r.bytes()) }
 

@@ -53,28 +53,34 @@ func oracleWrite(a Addr, src []byte) {
 	oracleMu.Unlock()
 }
 
-// oracleWriteF64s mirrors oracleWrite for the float64 bulk path.
-func oracleWriteF64s(a Addr, src []float64) {
+// oracleWriteWords mirrors oracleWrite for the typed bulk paths.
+func oracleWriteWords[T int32 | float64](a Addr, src []T) {
 	if !debugOracleOn {
 		return
 	}
-	buf := make([]byte, 8*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	oracleWrite(a, buf)
+	oracleWrite(a, wordBytes(src))
 }
 
-// oracleCheckF64s mirrors oracleCheck for the float64 bulk path.
-func oracleCheckF64s(node int, a Addr, got []float64) {
+// oracleCheckWords mirrors oracleCheck for the typed bulk paths.
+func oracleCheckWords[T int32 | float64](node int, a Addr, got []T) {
 	if !debugOracleOn {
 		return
 	}
-	buf := make([]byte, 8*len(got))
-	for i, v := range got {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	oracleCheck(node, a, wordBytes(got))
+}
+
+// wordBytes encodes typed words the way shared memory stores them.
+func wordBytes[T int32 | float64](v []T) []byte {
+	var buf []byte
+	for _, x := range v {
+		switch x := any(x).(type) {
+		case int32:
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+		case float64:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
 	}
-	oracleCheck(node, a, buf)
+	return buf
 }
 
 func oracleCheck(node int, a Addr, got []byte) {

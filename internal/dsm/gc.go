@@ -380,6 +380,7 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 					pg := n.pages[pid]
 					if pg != nil && pg.twinIvl == ivl {
 						pg.twinIvl = nil
+						n.freeFrameLocked(pg.twin)
 						pg.twin = nil
 						n.protoAddLocked(-PageSize)
 						n.stats.TwinsCollected++
@@ -494,6 +495,7 @@ func (n *Node) gcFlushPageLocked(pg *page, flushVC VectorClock) {
 		// fetch, never from a zeros base.
 		pg.refetch = true
 		pg.appliedVC = nil
+		n.freeFrameLocked(pg.data)
 	}
 	pg.data = nil
 	pg.state = pageInvalid
@@ -614,7 +616,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 					// page's complete notice history, so zeros (the
 					// allocation contents) plus the covered history applied
 					// in causal order is exactly the floor contents.
-					pg.data = make([]byte, PageSize)
+					pg.data = n.newFrameLocked(true)
 				}
 			}
 			work = append(work, w)
@@ -673,7 +675,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 			if !ok {
 				panic(fmt.Sprintf("dsm: GC refetch missing page %d", w.pg.id))
 			}
-			w.pg.data = data
+			w.pg.data = data // the reply's bytes, uncopied (see rbuf)
 			w.pg.refetch = false
 			w.pg.appliedVC = nil // fresh home base (cf. faultInLocked)
 			n.stats.PageFetches++

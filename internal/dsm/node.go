@@ -45,6 +45,8 @@ type Node struct {
 	gcPages     []*page       // pages that may hold missing notices or twins (GC work list)
 	pages       []*page       // [PageID]; entries materialize lazily
 	knownVC     []VectorClock // sound lower bound of what each node has seen
+	frames      [][]byte      // free PageSize frames for twins and page copies (page.go)
+	diffScratch []byte        // makeDiff's encode buffer; each diff keeps an exact copy
 
 	// fetchMu serializes the node's application-side fetch sequences (the
 	// fault path and GC validation waves): page and diff replies route by
@@ -187,7 +189,7 @@ func (n *Node) pageFor(pid PageID) *page {
 		if n.isHome(pid) {
 			// The page's home is its allocator and initial owner: its copy
 			// materializes as zeros, matching Tmk_malloc.
-			pg.data = make([]byte, PageSize)
+			pg.data = n.newFrameLocked(true)
 			pg.state = pageReadOnly
 		}
 		n.pages[pid] = pg
@@ -347,9 +349,10 @@ func (n *Node) ensureDiffEncodedLocked(pg *page) int {
 	if pg.twinIvl == nil {
 		return 0
 	}
-	diff := makeDiff(pg.data, pg.twin)
+	diff := n.diffLocked(pg.data, pg.twin)
 	pg.twinIvl.diffs[pg.id] = diff
 	pg.twinIvl = nil
+	n.freeFrameLocked(pg.twin)
 	pg.twin = nil
 	n.protoAddLocked(int64(len(diff)) - PageSize) // twin freed, diff retained
 	n.stats.DiffsCreated++
@@ -431,7 +434,7 @@ func (c *Client) ensureWritableLocked(pg *page) {
 		// a diff or send a write notice, TreadMarks performs no twinning
 		// or write protection; writes run at memory speed.
 		if pg.data == nil {
-			pg.data = make([]byte, PageSize)
+			pg.data = n.newFrameLocked(true)
 		}
 		pg.state = pageReadWrite
 		return
@@ -454,7 +457,7 @@ func (c *Client) ensureWritableLocked(pg *page) {
 			n.ensureDiffEncodedLocked(pg)
 			c.clk.Advance(n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte))
 		}
-		pg.twin = make([]byte, PageSize)
+		pg.twin = n.newFrameLocked(false)
 		copy(pg.twin, pg.data)
 		n.noteGCPageLocked(pg)
 		n.protoAddLocked(PageSize)
@@ -519,7 +522,8 @@ func (c *Client) sendDiffRequests(pid PageID, fetch []*interval) int {
 }
 
 // recvDiffReply blocks for one msgDiffRep and decodes it into the page
-// it answers for, the creator that served it, and its per-seq diffs.
+// it answers for, the creator that served it, and its per-seq diffs. The
+// diffs are sub-slices of the reply payload, applied from there in place.
 // Must be called WITHOUT holding n.mu.
 func (c *Client) recvDiffReply() (PageID, int, map[int][]byte) {
 	rep := c.recvReply(msgDiffRep, 0)
@@ -577,7 +581,7 @@ func (c *Client) faultInLocked(pg *page) {
 	}
 
 	if pg.data == nil && n.isHome(pg.id) {
-		pg.data = make([]byte, PageSize)
+		pg.data = n.newFrameLocked(true)
 		if pg.state == pageInvalid && len(pg.missing) == 0 {
 			pg.state = pageReadOnly
 		}
@@ -668,7 +672,11 @@ func (c *Client) faultInLocked(pg *page) {
 		// source's copy reflects everything this node had observed (squash
 		// precondition), as does the home's (the flush gate held when any
 		// covered notice was dropped) — either way the whole-page base
-		// repairs a flush-truncated notice history.
+		// repairs a flush-truncated notice history. The reply's bytes
+		// become the copy as they are (see rbuf): no further copy.
+		if pg.data != nil {
+			n.freeFrameLocked(pg.data)
+		}
 		pg.data = pageContent
 		pg.refetch = false
 		if squashed {
@@ -842,7 +850,7 @@ func (c *Client) ReadF64s(a Addr, dst []float64) {
 	n := c.n
 	n.checkRange(a, 8*len(dst))
 	if debugOracleOn {
-		defer oracleCheckF64s(n.id, a, dst)
+		defer oracleCheckWords(n.id, a, dst)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -875,7 +883,7 @@ func (c *Client) ReadF64s(a Addr, dst []float64) {
 func (c *Client) WriteF64s(a Addr, src []float64) {
 	n := c.n
 	n.checkRange(a, 8*len(src))
-	oracleWriteF64s(a, src)
+	oracleWriteWords(a, src)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	i := 0
@@ -901,22 +909,69 @@ func (c *Client) WriteF64s(a Addr, src []float64) {
 	}
 }
 
-// ReadI32s reads len(dst) consecutive int32s starting at a.
+// ReadI32s reads len(dst) consecutive int32s starting at a, walking the
+// pages in place like ReadF64s.
 func (c *Client) ReadI32s(a Addr, dst []int32) {
-	buf := make([]byte, 4*len(dst))
-	c.ReadBytes(a, buf)
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+	n := c.n
+	n.checkRange(a, 4*len(dst))
+	if debugOracleOn {
+		defer oracleCheckWords(n.id, a, dst)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	i := 0
+	for i < len(dst) {
+		addr := int(a) + 4*i
+		pid := PageID(addr / PageSize)
+		off := addr % PageSize
+		pg := n.pageFor(pid)
+		c.ensureReadableLocked(pg)
+		for off+4 <= PageSize && i < len(dst) {
+			dst[i] = int32(binary.LittleEndian.Uint32(pg.data[off:]))
+			off += 4
+			i++
+		}
+		if off+4 > PageSize && off < PageSize && i < len(dst) {
+			// Element straddles a page boundary (unaligned base only).
+			var buf [4]byte
+			n.mu.Unlock()
+			c.ReadBytes(Addr(int(a)+4*i), buf[:])
+			n.mu.Lock()
+			dst[i] = int32(binary.LittleEndian.Uint32(buf[:]))
+			i++
+		}
 	}
 }
 
-// WriteI32s writes the int32s of src to consecutive addresses from a.
+// WriteI32s writes the int32s of src to consecutive addresses from a,
+// walking the pages in place like WriteF64s.
 func (c *Client) WriteI32s(a Addr, src []int32) {
-	buf := make([]byte, 4*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+	n := c.n
+	n.checkRange(a, 4*len(src))
+	oracleWriteWords(a, src)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	i := 0
+	for i < len(src) {
+		addr := int(a) + 4*i
+		pid := PageID(addr / PageSize)
+		off := addr % PageSize
+		pg := n.pageFor(pid)
+		c.ensureWritableLocked(pg)
+		for off+4 <= PageSize && i < len(src) {
+			binary.LittleEndian.PutUint32(pg.data[off:], uint32(src[i]))
+			off += 4
+			i++
+		}
+		if off+4 > PageSize && off < PageSize && i < len(src) {
+			var buf [4]byte
+			binary.LittleEndian.PutUint32(buf[:], uint32(src[i]))
+			n.mu.Unlock()
+			c.WriteBytes(Addr(int(a)+4*i), buf[:])
+			n.mu.Lock()
+			i++
+		}
 	}
-	c.WriteBytes(a, buf)
 }
 
 // ---------------------------------------------------------------------

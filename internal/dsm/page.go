@@ -110,15 +110,62 @@ type page struct {
 	refetch bool
 }
 
-// makeDiff computes the word-granularity (4-byte) delta between data and
-// twin, encoded as runs of [offset u32][length u32][bytes]. The 4-byte
+// newFrameLocked returns a PageSize page frame for a twin or a page copy,
+// reusing one from the node's free list when it can (real TreadMarks
+// likewise recycles twin pages instead of allocating one per write
+// fault). A recycled frame holds stale bytes: pass zero for a frame whose
+// contents the caller does not overwrite in full. Every twin and every
+// locally materialized page copy comes from here; a fetched copy is the
+// page reply's own bytes (see rbuf). Requires n.mu.
+func (n *Node) newFrameLocked(zero bool) []byte {
+	k := len(n.frames)
+	if k == 0 {
+		return make([]byte, PageSize)
+	}
+	f := n.frames[k-1]
+	n.frames[k-1] = nil
+	n.frames = n.frames[:k-1]
+	if zero {
+		clear(f)
+	}
+	return f
+}
+
+// freeFrameLocked puts a frame nothing references any more — a twin whose
+// diff is encoded or retired, a discarded page copy — back on the free
+// list. The list is capped so a node that mostly discards copies (and
+// refetches them as fresh reply buffers) does not hoard frames it will
+// never reuse. Requires n.mu.
+func (n *Node) freeFrameLocked(f []byte) {
+	if len(n.frames) < maxFreeFrames {
+		n.frames = append(n.frames, f)
+	}
+}
+
+// maxFreeFrames caps a node's page-frame free list at 1 MiB. On the
+// paper-scale lock, barrier and 32-node workloads an unbounded list
+// reuses no larger a share of frames than this cap does.
+const maxFreeFrames = 256
+
+// diffLocked returns the diff of data against twin as an exact-length
+// slice: it is encoded in the node's reused scratch buffer, then copied
+// out once. Requires n.mu.
+func (n *Node) diffLocked(data, twin []byte) []byte {
+	n.diffScratch = makeDiff(n.diffScratch[:0], data, twin)
+	diff := make([]byte, len(n.diffScratch))
+	copy(diff, n.diffScratch)
+	return diff
+}
+
+// makeDiff appends to dst the word-granularity (4-byte) delta between data
+// and twin, encoded as runs of [offset u32][length u32][bytes]. The 4-byte
 // word size matches real TreadMarks and is load-bearing for correctness:
 // two nodes may concurrently write ADJACENT 4-byte values of one page
 // (QSORT subarray boundaries land on arbitrary int32 indices), and a
 // coarser diff word would capture the neighbour's stale half and lose one
 // of the two writes when the diffs merge.
-func makeDiff(data, twin []byte) []byte {
-	var w wbuf
+func makeDiff(dst, data, twin []byte) []byte {
+	w := wbuf{b: dst}
 	n := len(data)
 	i := 0
 	for i < n {

@@ -93,8 +93,9 @@ func (n *Node) dispatch(m *network.Message) {
 
 // dispatchBatch demuxes a coalesced frame (wire.go's frameBuilder) into
 // per-sub synthesized messages and dispatches each in order. Sub payloads
-// alias the envelope payload — handlers never mutate payloads, and any
-// retained decode output is copied by the decoders themselves.
+// are capacity-clipped sub-slices of the envelope and decode without
+// copying: the frame belongs to this receiver (see rbuf), so a handler
+// may keep and even modify what it decodes.
 func (n *Node) dispatchBatch(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	walkBatch(&r, n.id, func(typ int, payload []byte) {
@@ -153,12 +154,14 @@ func (n *Node) handlePageReq(m *network.Message) {
 			// squashed fetches always target a node that wrote the page.
 			panic(fmt.Sprintf("dsm: node %d asked for page %d it never held (home %d)", n.id, pid, n.homeOf(pid)))
 		}
-		pg.data = make([]byte, PageSize)
+		pg.data = n.newFrameLocked(true)
 		if pg.state == pageInvalid && len(pg.missing) == 0 {
 			pg.state = pageReadOnly
 		}
 	}
-	var w wbuf
+	// The reply is the requester's page copy from now on (see rbuf), so it
+	// is allocated at its exact size once.
+	w := wbuf{b: make([]byte, 0, 8+PageSize)}
 	w.u32(uint32(pid))
 	w.bytes(pg.data)
 	n.mu.Unlock()
@@ -182,10 +185,11 @@ func (n *Node) handleDiffReq(m *network.Message) {
 	service := n.sys.plat.RequestService
 	n.mu.Lock()
 	n.chargeInterruptLocked()
-	var w wbuf
-	w.u32(uint32(pid))
-	w.u32(uint32(cnt))
-	for _, seq := range seqs {
+	// Gather the diffs first so the reply is allocated once, at its exact
+	// size: pid, count, then [seq][len][diff] per interval.
+	diffs := make([][]byte, len(seqs))
+	size := 8
+	for i, seq := range seqs {
 		own := n.intervals[n.id]
 		idx := seq - n.ivlBase[n.id]
 		if idx < 0 {
@@ -207,9 +211,16 @@ func (n *Node) handleDiffReq(m *network.Message) {
 			service += n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
 			d = ivl.diffs[pid]
 		}
-		w.u32(uint32(seq))
-		w.bytes(d)
+		diffs[i] = d
+		size += 8 + len(d)
 	}
 	n.mu.Unlock()
+	w := wbuf{b: make([]byte, 0, size)}
+	w.u32(uint32(pid))
+	w.u32(uint32(cnt))
+	for i, seq := range seqs {
+		w.u32(uint32(seq))
+		w.bytes(diffs[i])
+	}
 	n.ep.SendAt(m.From, msgDiffRep, network.ClassReply, w.b, m.Arrive+service)
 }

@@ -192,13 +192,18 @@ func (e *Endpoint) SendAt(to, typ int, class Class, payload []byte, at sim.Time)
 		panic("network: switch is down")
 	default:
 	}
+	// Count BEFORE enqueueing: once the message is in the queue its
+	// receiver may act on it — reply, finish the run, read the totals —
+	// and the totals must already include it. If the switch goes down
+	// instead, the send panics and the run aborts, so the count no longer
+	// matters.
+	e.count(typ, payload)
 	// The down case below keeps a sender from blocking forever on a full
 	// queue whose drainer exited at shutdown. An abort can close `down`
 	// while a send is committing; the message then sits in the queue
 	// unreceived, and the sender unwinds at its next receive instead.
 	select {
 	case e.sw.inboxes[to][m.Class] <- m:
-		e.count(typ, payload)
 	case <-e.sw.down:
 		panic("network: switch is down")
 	}
@@ -221,7 +226,7 @@ func (e *Endpoint) build(to, typ int, class Class, payload []byte, at sim.Time) 
 	}
 }
 
-// count records one delivered message in the traffic totals.
+// count records one sent message in the traffic totals.
 func (e *Endpoint) count(typ int, payload []byte) {
 	bytes := int64(len(payload) + e.sw.profile.HeaderBytes)
 	e.sw.stats.Messages.Add(1)
@@ -243,7 +248,7 @@ type FramePart struct {
 	Bytes int
 }
 
-// countFrame records one delivered frame: one datagram, len(parts)
+// countFrame records one sent frame: one datagram, len(parts)
 // logical messages, total bytes once, and each part's bytes against its
 // own type (the per-datagram header overhead is charged to the first
 // part, mirroring count's payload+header accounting so the per-type
@@ -285,9 +290,9 @@ func (e *Endpoint) SendFrameAt(to, typ int, class Class, payload []byte, parts [
 		panic("network: switch is down")
 	default:
 	}
+	e.countFrame(payload, parts) // before enqueueing, as in SendAt
 	select {
 	case e.sw.inboxes[to][m.Class] <- m:
-		e.countFrame(payload, parts)
 	case <-e.sw.down:
 		panic("network: switch is down")
 	}

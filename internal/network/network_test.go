@@ -227,3 +227,39 @@ func TestLatencyMonotonicInSizeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStatsCountedBeforeDelivery pins the send-side counting order: a
+// message is in the totals before its receiver can see it. Node 1 replies
+// the moment node 0's request arrives; node 0 reads the totals right after
+// the reply lands, and they must already include both messages. Counting
+// after the enqueue let the reply overtake its own count (run it under
+// -race to widen the window).
+func TestStatsCountedBeforeDelivery(t *testing.T) {
+	const iters = 1000
+	for _, frame := range []bool{false, true} {
+		sw := testSwitch(2)
+		var c0, c1 sim.Clock
+		e0 := sw.Endpoint(0, &c0)
+		e1 := sw.Endpoint(1, &c1)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < iters; i++ {
+				m := e1.Recv(ClassRequest)
+				if frame {
+					e1.SendFrameAt(0, 9, ClassReply, m.Payload, []FramePart{{Type: 2, Bytes: len(m.Payload)}}, m.Arrive)
+				} else {
+					e1.SendAt(0, 2, ClassReply, m.Payload, m.Arrive)
+				}
+			}
+		}()
+		for i := 0; i < iters; i++ {
+			e0.Send(1, 1, ClassRequest, []byte{byte(i)})
+			e0.Recv(ClassReply)
+			if msgs, _ := sw.Stats().Snapshot(); msgs != int64(2*(i+1)) {
+				t.Fatalf("frame=%v iteration %d: totals hold %d messages after the reply, want %d", frame, i, msgs, 2*(i+1))
+			}
+		}
+		<-done
+	}
+}
