@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race serve-race fuzz-wire bench-smoke bench bench-scaling tables ci
+.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race serve-race fuzz-wire bench-smoke bench bench-layers bench-scaling tables ci
 
 build:
 	$(GO) build ./...
@@ -35,12 +35,15 @@ test-race:
 
 # SMP-backend smoke under the race detector: the backend conformance
 # suite plus the core runtime tests, which run every primitive on real
-# goroutines over the shared heap. The full test-race pass subsumes it;
-# it runs FIRST in ci (and stands alone for the dev loop) so an ordering
-# bug in the SMP backend fails in seconds instead of after the whole
-# race suite.
+# goroutines over the shared heap, and the three applications whose
+# per-thread staging buffers outlive a region (3D-FFT, Barnes, Water at
+# 8 threads), so a thread's buffers are handed between goroutines across
+# fork/join edges. The full test-race pass subsumes it; it runs FIRST in
+# ci (and stands alone for the dev loop) so an ordering bug in the SMP
+# backend fails in seconds instead of after the whole race suite.
 smp-race:
 	$(GO) test -race -run 'TestBackendConformance|TestSMPZeroTraffic|TestSemaphorePipelineDirectives|TestCriticalMutualExclusion|TestBarrierDirective' ./internal/core
+	$(GO) test -race -run 'TestCrossImplementationEquivalence/(3D-FFT|Barnes|Water)/omp-smp/p8' ./internal/harness
 
 # Hybrid-backend smoke under the race detector: the conformance scenarios
 # on the NOW-of-SMPs backend (all island counts) plus the degenerate-limit
@@ -103,6 +106,12 @@ bench-smoke:
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem
+
+# Per-layer host cost: the codec, fetch round-trip, switch and fork/join
+# benchmarks under internal/, with B/op and allocs/op (bench covers only
+# the root package's paper-artifact benchmarks).
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
 # The scaling-wall study: OpenMP speedup at P = 8..128 with per-size
 # binding-cost attribution, under the tree-routed consensus transport.

@@ -2,9 +2,12 @@ package barnes
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 )
 
 func TestTreeConservesMass(t *testing.T) {
@@ -45,7 +48,8 @@ func TestTreeImageRoundTrips(t *testing.T) {
 	p := Small()
 	pos, _, mass := InitBodies(p)
 	tr := BuildTree(pos, mass, p.NBody)
-	got := decodeTree(encodeTree(tr))
+	var enc, dec treeStage
+	got := dec.decodeTree(enc.encodeTree(tr))
 	if len(got.Cells) != len(tr.Cells) {
 		t.Fatalf("%d cells after round trip, want %d", len(got.Cells), len(tr.Cells))
 	}
@@ -107,5 +111,38 @@ func TestImplementationsMatchSequential(t *testing.T) {
 				t.Errorf("p%d: %v", procs, err)
 			}
 		}
+	}
+}
+
+// TestTreeStageReusesBuffers reads a published tree twice through one
+// stage, the second time a smaller one: the second read must decode
+// correctly into the first read's image and cell arrays, not fresh ones.
+func TestTreeStageReusesBuffers(t *testing.T) {
+	p := Small()
+	pos, _, mass := InitBodies(p)
+	big := BuildTree(pos, mass, p.NBody)
+	small := BuildTree(pos, mass, p.NBody/2)
+	if len(small.Cells) >= len(big.Cells) {
+		t.Fatalf("half the bodies built %d cells, the whole set %d", len(small.Cells), len(big.Cells))
+	}
+	sys := dsm.New(dsm.Config{Procs: 1})
+	defer sys.Close()
+	treeA := sys.MallocPage(treeBytes(p.NBody))
+	err := sys.Run(func(nd *dsm.Node) {
+		var pub, st treeStage
+		pub.writeTree(nd, treeA, big, p.NBody)
+		first := st.readTree(nd, treeA)
+		img, cells := unsafe.SliceData(st.img), unsafe.SliceData(first.Cells)
+		pub.writeTree(nd, treeA, small, p.NBody)
+		second := st.readTree(nd, treeA)
+		if unsafe.SliceData(st.img) != img || unsafe.SliceData(second.Cells) != cells {
+			t.Error("second read of a smaller tree allocated a new image or cell array")
+		}
+		if !slices.Equal(second.Cells, small.Cells) {
+			t.Error("second read decoded a different tree")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -39,16 +39,17 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 		nd.ReadF64s(velA+core.Addr(8*3*lo), vel)
 		pos := make([]float64, 3*n)
 		acc := make([]float64, cnt)
+		var stage treeStage
 
 		eval := func() {
 			nd.ReadF64s(posA, pos) // whole array: the traversal is irregular
 			if me == 0 {
 				t := BuildTree(pos, mass, n)
 				tc.Compute(buildFlops(t))
-				writeTree(nd, treeA, t, n)
+				stage.writeTree(nd, treeA, t, n)
 			}
 			tc.Barrier()
-			t := readTree(nd, treeA)
+			t := stage.readTree(nd, treeA)
 			inter := AccelRange(t, pos, acc, lo, hi)
 			tc.Compute(flopsPerInteract * float64(inter))
 		}

@@ -1,6 +1,10 @@
 package barnes
 
-import "repro/internal/core"
+import (
+	"slices"
+
+	"repro/internal/core"
+)
 
 // Helpers shared by the OpenMP and TreadMarks versions: the octree
 // travels through DSM memory as one flat float64 image (children and body
@@ -19,9 +23,27 @@ func maxCells(n int) int { return 8*n + 64 }
 // treeBytes sizes the shared tree buffer (one leading count slot).
 func treeBytes(n int) int { return 8 * (1 + maxCells(n)*cellF64s) }
 
-// encodeTree flattens a finalized tree into a float64 image.
-func encodeTree(t *Tree) []float64 {
-	out := make([]float64, 1+len(t.Cells)*cellF64s)
+// treeStage is one thread's staging for the tree transfer, kept across
+// steps: the float64 image the tree travels as, and the Tree a read
+// decodes it into. Both grow (slices.Grow) to the largest tree seen and
+// are otherwise reused, so publishing or reading a tree allocates nothing
+// in steady state. A tree returned by readTree or decodeTree is valid
+// until the stage's next read or decode.
+type treeStage struct {
+	img  []float64
+	tree Tree
+}
+
+// image returns the stage's image resized to hold nc cells.
+func (s *treeStage) image(nc int) []float64 {
+	size := 1 + nc*cellF64s
+	s.img = slices.Grow(s.img[:0], size)[:size]
+	return s.img
+}
+
+// encodeTree flattens a finalized tree into the stage's image.
+func (s *treeStage) encodeTree(t *Tree) []float64 {
+	out := s.image(len(t.Cells))
 	out[0] = float64(len(t.Cells))
 	for i := range t.Cells {
 		c := &t.Cells[i]
@@ -36,10 +58,13 @@ func encodeTree(t *Tree) []float64 {
 	return out
 }
 
-// decodeTree rebuilds a Tree from its float64 image.
-func decodeTree(img []float64) *Tree {
+// decodeTree rebuilds the stage's tree from a float64 image. Every field
+// of every cell is overwritten, so the reused cells need no clearing.
+func (s *treeStage) decodeTree(img []float64) *Tree {
 	nc := int(img[0])
-	t := &Tree{Cells: make([]Cell, nc)}
+	t := &s.tree
+	t.Cells = slices.Grow(t.Cells[:0], nc)[:nc]
+	t.Work = 0
 	for i := 0; i < nc; i++ {
 		c := &t.Cells[i]
 		b := 1 + i*cellF64s
@@ -54,17 +79,16 @@ func decodeTree(img []float64) *Tree {
 }
 
 // writeTree publishes a tree image into shared memory at base.
-func writeTree(nd core.Worker, base core.Addr, t *Tree, n int) {
+func (s *treeStage) writeTree(nd core.Worker, base core.Addr, t *Tree, n int) {
 	if len(t.Cells) > maxCells(n) {
 		panic("barnes: shared tree buffer overflow")
 	}
-	nd.WriteF64s(base, encodeTree(t))
+	nd.WriteF64s(base, s.encodeTree(t))
 }
 
 // readTree loads the tree image published at base.
-func readTree(nd core.Worker, base core.Addr) *Tree {
-	nc := int(nd.ReadF64(base))
-	img := make([]float64, 1+nc*cellF64s)
+func (s *treeStage) readTree(nd core.Worker, base core.Addr) *Tree {
+	img := s.image(int(nd.ReadF64(base)))
 	nd.ReadF64s(base, img)
-	return decodeTree(img)
+	return s.decodeTree(img)
 }

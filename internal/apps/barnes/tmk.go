@@ -34,16 +34,17 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 		nd.ReadF64s(velA+dsm.Addr(8*3*lo), vel)
 		pos := make([]float64, 3*n)
 		acc := make([]float64, cnt)
+		var stage treeStage
 
 		eval := func() {
 			nd.ReadF64s(posA, pos)
 			if me == 0 {
 				t := BuildTree(pos, mass, n)
 				nd.Compute(buildFlops(t))
-				writeTree(nd, treeA, t, n)
+				stage.writeTree(nd, treeA, t, n)
 			}
 			nd.Barrier()
-			t := readTree(nd, treeA)
+			t := stage.readTree(nd, treeA)
 			inter := AccelRange(t, pos, acc, lo, hi)
 			nd.Compute(flopsPerInteract * float64(inter))
 		}

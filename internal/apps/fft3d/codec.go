@@ -5,10 +5,16 @@ import (
 	"math"
 )
 
-func putF64(b []byte, v float64) {
-	binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+// putC writes v at the front of b as its little-endian (re, im) float64
+// pair: the MPI transposes pack complex values straight into the send
+// bytes with it.
+func putC(b []byte, v complex128) {
+	binary.LittleEndian.PutUint64(b, math.Float64bits(real(v)))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
 }
 
-func getF64(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+// getC reads the (re, im) pair putC writes.
+func getC(b []byte) complex128 {
+	return complex(math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
 }

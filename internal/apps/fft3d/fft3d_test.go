@@ -3,9 +3,12 @@ package fft3d
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 )
 
 func TestFFTRoundTrip(t *testing.T) {
@@ -183,5 +186,39 @@ func TestMPISendsLessDataThanDSM(t *testing.T) {
 	}
 	if mpiRes.Bytes >= omp.Bytes {
 		t.Errorf("MPI bytes (%d) should be below OpenMP/DSM bytes (%d)", mpiRes.Bytes, omp.Bytes)
+	}
+}
+
+// TestStageReusesBuffers reads complex values twice through one stage,
+// the second time fewer: the second read must return the right values in
+// the first read's arrays, and a write in between must reuse the image.
+func TestStageReusesBuffers(t *testing.T) {
+	const big, small = 600, 250 // values; both span several pages
+	sys := dsm.New(dsm.Config{Procs: 1})
+	defer sys.Close()
+	a := sys.MallocPage(cBytes * big)
+	want := make([]complex128, big)
+	for i := range want {
+		want[i] = complex(float64(i), -float64(i))
+	}
+	err := sys.Run(func(nd *dsm.Node) {
+		var st stage
+		st.writeComplex(nd, a, want)
+		first := st.readComplex(nd, a, big)
+		vals, img := unsafe.SliceData(first), unsafe.SliceData(st.f64)
+		st.writeComplex(nd, a, want[:small])
+		second := st.readComplex(nd, a, small)
+		if unsafe.SliceData(second) != vals || unsafe.SliceData(st.f64) != img {
+			t.Error("second, smaller read allocated a new value array or image")
+		}
+		if !slices.Equal(second, want[:small]) {
+			t.Error("second read returned different values")
+		}
+		if blk := st.block(big); unsafe.SliceData(st.block(small)) != unsafe.SliceData(blk) {
+			t.Error("a smaller block allocated a new assembly buffer")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

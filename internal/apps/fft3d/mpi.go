@@ -50,27 +50,28 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 			chunks := make([][]byte, np)
 			for d := 0; d < np; d++ {
 				dlo, dhi := core.StaticBlock(0, n, d, np)
-				buf := make([]float64, 0, 2*srcCnt*n*(dhi-dlo))
+				buf := make([]byte, cBytes*srcCnt*n*(dhi-dlo))
+				i := 0
 				for s := 0; s < srcCnt; s++ {
 					for y := 0; y < n; y++ {
 						for x := dlo; x < dhi; x++ {
-							v := src[(s*n+y)*n+x]
-							buf = append(buf, real(v), imag(v))
+							putC(buf[i:], src[(s*n+y)*n+x])
+							i += cBytes
 						}
 					}
 				}
-				chunks[d] = f64bytes(buf)
+				chunks[d] = buf
 			}
 			got := r.Alltoall(chunks)
 			for d := 0; d < np; d++ {
 				dlo, dhi := core.StaticBlock(0, n, d, np)
-				vals := bytesF64(got[d])
+				vals := got[d]
 				i := 0
 				for s := 0; s < dhi-dlo; s++ { // source's slab indices
 					for y := 0; y < n; y++ {
 						for x := 0; x < dstCnt; x++ {
-							dst[(x*n+y)*n+(dlo+s)] = complex(vals[i], vals[i+1])
-							i += 2
+							dst[(x*n+y)*n+(dlo+s)] = getC(vals[i:])
+							i += cBytes
 						}
 					}
 				}
@@ -101,27 +102,28 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 			chunks := make([][]byte, np)
 			for d := 0; d < np; d++ {
 				dlo, dhi := core.StaticBlock(0, n, d, np)
-				buf := make([]float64, 0, 2*myX*n*(dhi-dlo))
+				buf := make([]byte, cBytes*myX*n*(dhi-dlo))
+				i := 0
 				for xx := 0; xx < myX; xx++ {
 					for y := 0; y < n; y++ {
 						for z := dlo; z < dhi; z++ {
-							v := vSlab[(xx*n+y)*n+z]
-							buf = append(buf, real(v), imag(v))
+							putC(buf[i:], vSlab[(xx*n+y)*n+z])
+							i += cBytes
 						}
 					}
 				}
-				chunks[d] = f64bytes(buf)
+				chunks[d] = buf
 			}
 			got := r.Alltoall(chunks)
 			for d := 0; d < np; d++ {
 				dlo, dhi := core.StaticBlock(0, n, d, np)
-				vals := bytesF64(got[d])
+				vals := got[d]
 				i := 0
 				for xx := 0; xx < dhi-dlo; xx++ {
 					for y := 0; y < n; y++ {
 						for zz := 0; zz < myZ; zz++ {
-							back[(zz*n+y)*n+(dlo+xx)] = complex(vals[i], vals[i+1])
-							i += 2
+							back[(zz*n+y)*n+(dlo+xx)] = getC(vals[i:])
+							i += cBytes
 						}
 					}
 				}
@@ -163,20 +165,4 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 	}
 	msgs, bytes := world.Switch().Stats().Snapshot()
 	return apps.Result{Checksum: checksum, Time: world.MaxClock(), Messages: msgs, Bytes: bytes}, nil
-}
-
-func f64bytes(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		putF64(b[8*i:], x)
-	}
-	return b
-}
-
-func bytesF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = getF64(b[8*i:])
-	}
-	return out
 }

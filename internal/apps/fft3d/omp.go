@@ -38,96 +38,108 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 	redRe := prog.NewReduction(core.OpSum)
 	redIm := prog.NewReduction(core.OpSum)
 	slab := func(id int) (int, int) { return core.StaticBlock(0, n, id, procs) }
+	// Each thread's transfer staging, kept across regions.
+	stages := make([]stage, procs)
 
 	prog.RegisterDo("init", func(tc *core.TC, zlo, zhi int) {
+		st := &stages[tc.ThreadNum()]
 		for z := zlo; z < zhi; z++ {
-			plane := make([]complex128, n*n)
+			plane := st.block(n * n)
 			for i := range plane {
 				re, im := initValue(p.Seed, z*n*n+i)
 				plane[i] = complex(re, im)
 			}
-			writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane)
+			st.writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane)
 		}
 		tc.Compute(10 * float64((zhi-zlo)*n*n))
 	})
 
 	prog.RegisterDo("fwd2d", func(tc *core.TC, zlo, zhi int) {
+		st := &stages[tc.ThreadNum()]
 		for z := zlo; z < zhi; z++ {
-			plane := readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), n*n)
+			plane := st.readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), n*n)
 			tc.Compute(fft2D(plane, n, -1))
-			writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane)
+			st.writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane)
 		}
 	})
 
 	prog.RegisterRegion("packfwd", func(tc *core.TC) {
-		packForward(tc.Worker(), u, xb, tc.ThreadNum(), n, slab)
+		st := &stages[tc.ThreadNum()]
+		st.packForward(tc.Worker(), u, xb, tc.ThreadNum(), n, slab)
 		zlo, zhi := slab(tc.ThreadNum())
 		tc.Compute(2 * float64((zhi-zlo)*n*n))
 	})
 
 	prog.RegisterRegion("unpackfwd", func(tc *core.TC) {
-		unpackForward(tc.Worker(), w, xb, tc.ThreadNum(), n, slab)
+		st := &stages[tc.ThreadNum()]
+		st.unpackForward(tc.Worker(), w, xb, tc.ThreadNum(), n, slab)
 		xlo, xhi := slab(tc.ThreadNum())
 		tc.Compute(2 * float64((xhi-xlo)*n*n))
 	})
 
 	prog.RegisterDo("fftz", func(tc *core.TC, xlo, xhi int) {
+		st := &stages[tc.ThreadNum()]
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
-				pen := readComplex(tc.Worker(), w+core.Addr(cBytes*(x*n+y)*n), n)
+				pen := st.readComplex(tc.Worker(), w+core.Addr(cBytes*(x*n+y)*n), n)
 				fft(pen, -1)
-				writeComplex(tc.Worker(), w+core.Addr(cBytes*(x*n+y)*n), pen)
+				st.writeComplex(tc.Worker(), w+core.Addr(cBytes*(x*n+y)*n), pen)
 			}
 		}
 		tc.Compute(float64((xhi-xlo)*n) * fftFlops(n))
 	})
 
 	prog.RegisterDo("evolve", func(tc *core.TC, xlo, xhi int) {
+		st := &stages[tc.ThreadNum()]
 		t := tc.Args().Int()
 		for kx := xlo; kx < xhi; kx++ {
-			s := readComplex(tc.Worker(), w+core.Addr(cBytes*kx*n*n), n*n)
+			s := st.readComplex(tc.Worker(), w+core.Addr(cBytes*kx*n*n), n*n)
 			for ky := 0; ky < n; ky++ {
 				for kz := 0; kz < n; kz++ {
 					s[ky*n+kz] *= complex(evolveFactor(kx, ky, kz, n, t), 0)
 				}
 			}
-			writeComplex(tc.Worker(), vw+core.Addr(cBytes*kx*n*n), s)
+			st.writeComplex(tc.Worker(), vw+core.Addr(cBytes*kx*n*n), s)
 		}
 		tc.Compute(25 * float64((xhi-xlo)*n*n))
 	})
 
 	prog.RegisterDo("ifftz", func(tc *core.TC, xlo, xhi int) {
+		st := &stages[tc.ThreadNum()]
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
-				pen := readComplex(tc.Worker(), vw+core.Addr(cBytes*(x*n+y)*n), n)
+				pen := st.readComplex(tc.Worker(), vw+core.Addr(cBytes*(x*n+y)*n), n)
 				fft(pen, +1)
-				writeComplex(tc.Worker(), vw+core.Addr(cBytes*(x*n+y)*n), pen)
+				st.writeComplex(tc.Worker(), vw+core.Addr(cBytes*(x*n+y)*n), pen)
 			}
 		}
 		tc.Compute(float64((xhi-xlo)*n) * fftFlops(n))
 	})
 
 	prog.RegisterRegion("packback", func(tc *core.TC) {
-		packBackward(tc.Worker(), vw, xb, tc.ThreadNum(), n, slab)
+		st := &stages[tc.ThreadNum()]
+		st.packBackward(tc.Worker(), vw, xb, tc.ThreadNum(), n, slab)
 		xlo, xhi := slab(tc.ThreadNum())
 		tc.Compute(2 * float64((xhi-xlo)*n*n))
 	})
 
 	prog.RegisterRegion("unpackback", func(tc *core.TC) {
-		unpackBackward(tc.Worker(), u, xb, tc.ThreadNum(), n, slab)
+		st := &stages[tc.ThreadNum()]
+		st.unpackBackward(tc.Worker(), u, xb, tc.ThreadNum(), n, slab)
 		zlo, zhi := slab(tc.ThreadNum())
 		tc.Compute(2 * float64((zhi-zlo)*n*n))
 	})
 
 	prog.RegisterDo("inv2d", func(tc *core.TC, zlo, zhi int) {
+		st := &stages[tc.ThreadNum()]
 		scale := 1 / float64(pts)
 		for z := zlo; z < zhi; z++ {
-			plane := readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), n*n)
+			plane := st.readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), n*n)
 			tc.Compute(fft2D(plane, n, +1))
 			for i := range plane {
 				plane[i] *= complex(scale, 0)
 			}
-			writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane)
+			st.writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane)
 		}
 		tc.Compute(2 * float64((zhi-zlo)*n*n))
 	})

@@ -2,6 +2,7 @@ package fft3d
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -14,25 +15,50 @@ import (
 
 const cBytes = 16
 
+// stage is one thread's staging for bulk transfers, kept across calls
+// (and, in the OpenMP version, across regions): the float64 image a
+// transfer moves through, the complex values a read decodes to, and the
+// block or slab a pack or unpack assembles. Each grows (slices.Grow) to
+// the largest transfer seen and is otherwise reused, so a transfer
+// allocates nothing in steady state. A slice returned by readComplex is
+// valid until the stage's next readComplex, one returned by block until
+// its next block.
+type stage struct {
+	f64  []float64
+	vals []complex128
+	blk  []complex128
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are not cleared.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// block returns the stage's assembly buffer resized to cnt values, every
+// one of which the caller overwrites.
+func (st *stage) block(cnt int) []complex128 {
+	st.blk = resize(st.blk, cnt)
+	return st.blk
+}
+
 // readComplex bulk-reads cnt complex values starting at a.
-func readComplex(n core.Worker, a core.Addr, cnt int) []complex128 {
-	buf := make([]float64, 2*cnt)
-	n.ReadF64s(a, buf)
-	out := make([]complex128, cnt)
-	for i := range out {
-		out[i] = complex(buf[2*i], buf[2*i+1])
+func (st *stage) readComplex(n core.Worker, a core.Addr, cnt int) []complex128 {
+	st.f64 = resize(st.f64, 2*cnt)
+	n.ReadF64s(a, st.f64)
+	st.vals = resize(st.vals, cnt)
+	for i := range st.vals {
+		st.vals[i] = complex(st.f64[2*i], st.f64[2*i+1])
 	}
-	return out
+	return st.vals
 }
 
 // writeComplex bulk-writes vals starting at a.
-func writeComplex(n core.Worker, a core.Addr, vals []complex128) {
-	buf := make([]float64, 2*len(vals))
+func (st *stage) writeComplex(n core.Worker, a core.Addr, vals []complex128) {
+	st.f64 = resize(st.f64, 2*len(vals))
 	for i, v := range vals {
-		buf[2*i] = real(v)
-		buf[2*i+1] = imag(v)
+		st.f64[2*i] = real(v)
+		st.f64[2*i+1] = imag(v)
 	}
-	n.WriteF64s(a, buf)
+	n.WriteF64s(a, st.f64)
 }
 
 // readC reads one complex value at linear element index idx of array a.
@@ -80,31 +106,31 @@ func (xb *xferBlocks) addr(src, dst int) core.Addr {
 // packForward packs this thread's z-slab of u for every destination:
 // block(me→d) = u[z][y][x] for z in my slab, y over all, x in d's slab,
 // in (z, y, x) order.
-func packForward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
+func (st *stage) packForward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
 	zlo, zhi := slab(me)
 	for d := 0; d < xb.procs; d++ {
 		dlo, dhi := slab(d)
-		vals := make([]complex128, 0, (zhi-zlo)*n*(dhi-dlo))
+		vals := st.block((zhi - zlo) * n * (dhi - dlo))
+		i := 0
 		for z := zlo; z < zhi; z++ {
 			for y := 0; y < n; y++ {
-				row := readComplex(node, u+core.Addr(cBytes*((z*n+y)*n+dlo)), dhi-dlo)
-				vals = append(vals, row...)
+				i += copy(vals[i:], st.readComplex(node, u+core.Addr(cBytes*((z*n+y)*n+dlo)), dhi-dlo))
 			}
 		}
-		writeComplex(node, xb.addr(me, d), vals)
+		st.writeComplex(node, xb.addr(me, d), vals)
 	}
 }
 
 // unpackForward builds this thread's x-slab of w from the staged blocks:
 // w[x][y][z] for x in my slab (assembled privately, written in one
 // contiguous store — the slab is contiguous in w's [x][y][z] layout).
-func unpackForward(node core.Worker, w core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
+func (st *stage) unpackForward(node core.Worker, w core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
 	xlo, xhi := slab(me)
 	myX := xhi - xlo
-	out := make([]complex128, myX*n*n)
+	out := st.block(myX * n * n) // every element set: the sources tile z
 	for s := 0; s < xb.procs; s++ {
 		slo, shi := slab(s)
-		vals := readComplex(node, xb.addr(s, me), (shi-slo)*n*myX)
+		vals := st.readComplex(node, xb.addr(s, me), (shi-slo)*n*myX)
 		i := 0
 		for z := slo; z < shi; z++ {
 			for y := 0; y < n; y++ {
@@ -115,36 +141,36 @@ func unpackForward(node core.Worker, w core.Addr, xb *xferBlocks, me, n int, sla
 			}
 		}
 	}
-	writeComplex(node, w+core.Addr(cBytes*xlo*n*n), out)
+	st.writeComplex(node, w+core.Addr(cBytes*xlo*n*n), out)
 }
 
 // packBackward packs this thread's x-slab of vw for every destination
 // z-slab owner: block(me→d) = vw[x][y][z] for x in my slab, z in d's slab,
 // in (x, y, z) order.
-func packBackward(node core.Worker, vw core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
+func (st *stage) packBackward(node core.Worker, vw core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
 	xlo, xhi := slab(me)
 	for d := 0; d < xb.procs; d++ {
 		dlo, dhi := slab(d)
-		vals := make([]complex128, 0, (xhi-xlo)*n*(dhi-dlo))
+		vals := st.block((xhi - xlo) * n * (dhi - dlo))
+		i := 0
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
-				row := readComplex(node, vw+core.Addr(cBytes*((x*n+y)*n+dlo)), dhi-dlo)
-				vals = append(vals, row...)
+				i += copy(vals[i:], st.readComplex(node, vw+core.Addr(cBytes*((x*n+y)*n+dlo)), dhi-dlo))
 			}
 		}
-		writeComplex(node, xb.addr(me, d), vals)
+		st.writeComplex(node, xb.addr(me, d), vals)
 	}
 }
 
 // unpackBackward builds this thread's z-slab of u from the staged blocks:
 // u[z][y][x] for z in my slab (assembled privately, stored contiguously).
-func unpackBackward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
+func (st *stage) unpackBackward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
 	zlo, zhi := slab(me)
 	myZ := zhi - zlo
-	out := make([]complex128, myZ*n*n)
+	out := st.block(myZ * n * n) // every element set: the sources tile x
 	for s := 0; s < xb.procs; s++ {
 		slo, shi := slab(s)
-		vals := readComplex(node, xb.addr(s, me), (shi-slo)*n*myZ)
+		vals := st.readComplex(node, xb.addr(s, me), (shi-slo)*n*myZ)
 		i := 0
 		for x := slo; x < shi; x++ {
 			for y := 0; y < n; y++ {
@@ -155,7 +181,7 @@ func unpackBackward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, sl
 			}
 		}
 	}
-	writeComplex(node, u+core.Addr(cBytes*zlo*n*n), out)
+	st.writeComplex(node, u+core.Addr(cBytes*zlo*n*n), out)
 }
 
 // checksumPartial sums the NAS sample points whose z index falls in

@@ -34,37 +34,38 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 		me := nd.ID()
 		zlo, zhi := slab(me)
 		xlo, xhi := slab(me)
+		var st stage // this node's transfer staging, kept across phases
 
 		// Initialize own z-slab.
 		for z := zlo; z < zhi; z++ {
-			plane := make([]complex128, n*n)
+			plane := st.block(n * n)
 			for i := range plane {
 				re, im := initValue(p.Seed, z*n*n+i)
 				plane[i] = complex(re, im)
 			}
-			writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane)
+			st.writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane)
 		}
 		nd.Compute(10 * float64((zhi-zlo)*n*n))
 
 		// Forward 2D FFTs on own planes (no barrier needed: planes are
 		// still private to their initializer).
 		for z := zlo; z < zhi; z++ {
-			plane := readComplex(nd, u+dsm.Addr(cBytes*z*n*n), n*n)
+			plane := st.readComplex(nd, u+dsm.Addr(cBytes*z*n*n), n*n)
 			nd.Compute(fft2D(plane, n, -1))
-			writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane)
+			st.writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane)
 		}
 
 		// Blocked global transpose, then z-direction FFTs.
-		packForward(nd, u, xb, me, n, slab)
+		st.packForward(nd, u, xb, me, n, slab)
 		nd.Compute(2 * float64((zhi-zlo)*n*n))
 		nd.Barrier()
-		unpackForward(nd, w, xb, me, n, slab)
+		st.unpackForward(nd, w, xb, me, n, slab)
 		nd.Compute(2 * float64((xhi-xlo)*n*n))
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
-				pen := readComplex(nd, w+dsm.Addr(cBytes*(x*n+y)*n), n)
+				pen := st.readComplex(nd, w+dsm.Addr(cBytes*(x*n+y)*n), n)
 				fft(pen, -1)
-				writeComplex(nd, w+dsm.Addr(cBytes*(x*n+y)*n), pen)
+				st.writeComplex(nd, w+dsm.Addr(cBytes*(x*n+y)*n), pen)
 			}
 		}
 		nd.Compute(float64((xhi-xlo)*n) * fftFlops(n))
@@ -77,33 +78,33 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 			// Evolve + inverse z FFTs on own x-slab (w is preserved so
 			// the next iteration can reuse it).
 			for kx := xlo; kx < xhi; kx++ {
-				s := readComplex(nd, w+dsm.Addr(cBytes*kx*n*n), n*n)
+				s := st.readComplex(nd, w+dsm.Addr(cBytes*kx*n*n), n*n)
 				for ky := 0; ky < n; ky++ {
 					for kz := 0; kz < n; kz++ {
 						s[ky*n+kz] *= complex(evolveFactor(kx, ky, kz, n, t), 0)
 					}
 					fft(s[ky*n:(ky+1)*n], +1)
 				}
-				writeComplex(nd, vw+dsm.Addr(cBytes*kx*n*n), s)
+				st.writeComplex(nd, vw+dsm.Addr(cBytes*kx*n*n), s)
 			}
 			nd.Compute(25*float64((xhi-xlo)*n*n) + float64((xhi-xlo)*n)*fftFlops(n))
 
 			// Blocked transpose back.
-			packBackward(nd, vw, xb, me, n, slab)
+			st.packBackward(nd, vw, xb, me, n, slab)
 			nd.Compute(2 * float64((xhi-xlo)*n*n))
 			nd.Barrier()
-			unpackBackward(nd, u, xb, me, n, slab)
+			st.unpackBackward(nd, u, xb, me, n, slab)
 			nd.Compute(2 * float64((zhi-zlo)*n*n))
 
 			// Inverse 2D FFTs and normalization on own z-slab.
 			scale := 1 / float64(pts)
 			for z := zlo; z < zhi; z++ {
-				plane := readComplex(nd, u+dsm.Addr(cBytes*z*n*n), n*n)
+				plane := st.readComplex(nd, u+dsm.Addr(cBytes*z*n*n), n*n)
 				nd.Compute(fft2D(plane, n, +1))
 				for i := range plane {
 					plane[i] *= complex(scale, 0)
 				}
-				writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane)
+				st.writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane)
 			}
 			nd.Compute(2 * float64((zhi-zlo)*n*n))
 

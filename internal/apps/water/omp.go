@@ -30,6 +30,10 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 	partials := prog.SharedPage(partBytes * procs)
 	keRed := prog.NewReduction(core.OpSum)
 	block := func(id int) (int, int) { return core.StaticBlock(0, n, id, procs) }
+	// Each thread's whole-array position and force buffers, kept across
+	// force evaluations.
+	type stage struct{ pos, f []float64 }
+	stages := make([]stage, procs)
 
 	// forces: full evaluation into per-thread partials, barrier, merge of
 	// each thread's own slice, optional trailing half-kick (arg!=0).
@@ -38,9 +42,13 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 		me := tc.ThreadNum()
 		lo, hi := block(me)
 
-		pos := make([]float64, n*dof)
+		st := &stages[me]
+		if st.pos == nil {
+			st.pos, st.f = make([]float64, n*dof), make([]float64, n*dof)
+		}
+		pos, f := st.pos, st.f
 		tc.ReadF64s(posA, pos) // whole array: the inter phase reads every molecule
-		f := make([]float64, n*dof)
+		clear(f)               // the force kernels accumulate
 		IntraForces(pos, f, lo, hi)
 		InterForcesRange(pos, f, lo, hi, n)
 		tc.Compute(flopsPerIntra*float64(hi-lo) + interFlops(lo, hi, n))

@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// Per-layer benchmarks of the client fault/diff path: the diff codec on
-// its own, and the two fetch round trips a fault makes over the simulated
-// wire. Run with -benchmem (or read the ReportAllocs columns) to see the
+// Per-layer benchmarks of the client fault/diff path: the diff codec and
+// the interval-record codec on their own, and the two fetch round trips a
+// fault makes over the simulated wire. Run with -benchmem (or read the ReportAllocs columns) to see the
 // host allocation each costs.
 
 // Sinks keep the compiler from discarding the measured calls.
 var (
 	diffSink  []byte
 	applySink int
+	recsSink  []*interval
 )
 
 // diffPages returns a twin and a copy of it with every stride-th word
@@ -30,8 +31,8 @@ func diffPages(stride int) (data, twin []byte) {
 }
 
 // BenchmarkMakeDiff encodes the diff a node stores when a twin retires
-// (scratch encode plus one exact-length copy), with the whole page
-// changed and with one word in 64 changed.
+// (scratch encode plus one exact-size copy behind its reply header), with
+// the whole page changed and with one word in 64 changed.
 func BenchmarkMakeDiff(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -45,7 +46,7 @@ func BenchmarkMakeDiff(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(PageSize)
 			for i := 0; i < b.N; i++ {
-				diffSink = n.diffLocked(data, twin)
+				diffSink = n.diffLocked(0, 0, data, twin)
 			}
 		})
 	}
@@ -60,6 +61,39 @@ func BenchmarkApplyDiff(b *testing.B) {
 	b.SetBytes(PageSize)
 	for i := 0; i < b.N; i++ {
 		applySink = applyDiff(page, diff)
+	}
+}
+
+// benchRecords is a 16-record batch over an 8-node clock, the shape of a
+// barrier delta (see randRecords).
+func benchRecords() []*interval {
+	return randRecords(rand.New(rand.NewSource(1)), 8, 16)
+}
+
+// BenchmarkEncodeRecords encodes a record batch into a reused buffer, as
+// every consistency-bearing message's trailer does.
+func BenchmarkEncodeRecords(b *testing.B) {
+	recs := benchRecords()
+	var w wbuf
+	encodeRecords(&w, recs)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(w.b)))
+	for i := 0; i < b.N; i++ {
+		w.b = w.b[:0]
+		encodeRecords(&w, recs)
+	}
+	diffSink = w.b
+}
+
+// BenchmarkDecodeRecords decodes that batch back into interval records.
+func BenchmarkDecodeRecords(b *testing.B) {
+	var w wbuf
+	encodeRecords(&w, benchRecords())
+	b.ReportAllocs()
+	b.SetBytes(int64(len(w.b)))
+	for i := 0; i < b.N; i++ {
+		r := rbuf{b: w.b}
+		recsSink = decodeRecords(&r)
 	}
 }
 

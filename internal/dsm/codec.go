@@ -64,11 +64,13 @@ func wireErrf(format string, args ...any) wireError {
 //
 // Decoding copies nothing: need and bytes return sub-slices of the payload,
 // their capacity clipped to their length so an append by the holder
-// reallocates instead of overwriting the rest of the frame. That is sound
-// because a received payload belongs to its receiver — every payload is
-// built fresh for exactly one send and never kept or reused by its
-// sender — so the receiver may retain and even mutate what it decodes (a
-// page reply's bytes become the receiver's page copy as they are).
+// reallocates instead of overwriting the rest of the frame. The ownership
+// rule: a payload is read-only after its send, except a page reply, which
+// is built fresh and adopted by its requester. So a receiver may retain
+// what it decodes but never writes to it — a one-interval diff reply is
+// the creator's stored diff itself, served as is to every node that asks
+// for it (see diffLocked) — while a page reply's bytes become the
+// requester's page copy as they are.
 type rbuf struct {
 	b   []byte
 	off int

@@ -369,7 +369,7 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 		for _, ivl := range have[:drop] {
 			n.protoAddLocked(-ivlRecordBytes(ivl))
 			for _, d := range ivl.diffs {
-				n.protoAddLocked(-int64(len(d)))
+				n.protoAddLocked(-int64(len(diffRuns(d))))
 			}
 			ivl.diffs = nil
 			if c == n.id {
@@ -694,7 +694,9 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 	// the frame count.
 	byCreator := make(map[int]*frameBuilder)
 	var creators []int
+	fetched := 0
 	for _, w := range work {
+		fetched += len(w.fetch)
 		for _, req := range diffRequestPayloads(w.pg.id, w.fetch) {
 			f := byCreator[req.creator]
 			if f == nil {
@@ -712,22 +714,18 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 	}
 	n.mu.Unlock()
 
-	diffs := make(map[PageID]map[int]map[int][]byte) // page -> creator -> seq -> diff
+	diffs := make(fetchedDiffs, 0, fetched)
 	for i := 0; i < requests; i++ {
-		pid, from, bySeq := c.recvDiffReply()
-		if diffs[pid] == nil {
-			diffs[pid] = make(map[int]map[int][]byte)
-		}
-		diffs[pid][from] = bySeq
+		_, diffs = c.recvDiffReply(diffs)
 	}
+	diffs.sort()
 	n.mu.Lock() // --- end network section ---
 
 	plat := n.sys.plat
 	for _, w := range work {
 		sortCausal(w.fetch)
-		done := make(map[*interval]bool, len(w.fetch))
 		for _, ivl := range w.fetch {
-			d, ok := diffs[w.pg.id][ivl.creator][ivl.seq]
+			d, ok := diffs.find(w.pg.id, ivl)
 			if !ok {
 				panic(fmt.Sprintf("dsm: GC validation missing diff (%d,%d) for page %d", ivl.creator, ivl.seq, w.pg.id))
 			}
@@ -735,19 +733,23 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 			applied := applyDiff(w.pg.data, d)
 			n.stats.DiffsApplied++
 			c.clk.Advance(plat.DiffApply + sim.Time(float64(applied)*plat.DiffApplyPerByte))
-			done[ivl] = true
 		}
-		// Remove exactly the validated notices; notices newer than the
-		// floor (and any that arrived during the network section) stay.
+		// Remove exactly the validated notices — the ones the floor covers.
+		// Notices newer than the floor stay, and so does any that arrived
+		// during the network section: the floor covers only intervals
+		// every node, this one included, had incorporated before the
+		// purge began.
 		rest := w.pg.missing[:0]
 		for _, m := range w.pg.missing {
-			if !done[m] {
+			if !retire.covers(m.creator, m.seq) {
 				rest = append(rest, m)
 			}
 		}
-		for i := len(rest); i < len(w.pg.missing); i++ {
-			w.pg.missing[i] = nil
+		if len(w.pg.missing)-len(rest) != len(w.fetch) {
+			panic(fmt.Sprintf("dsm: node %d GC validated %d notices of page %d but %d are covered",
+				n.id, len(w.fetch), w.pg.id, len(w.pg.missing)-len(rest)))
 		}
+		clear(w.pg.missing[len(rest):])
 		w.pg.missing = rest
 		if len(w.pg.missing) == 0 && w.pg.state == pageInvalid {
 			w.pg.state = pageReadOnly

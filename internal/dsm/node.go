@@ -1,11 +1,12 @@
 package dsm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/network"
@@ -349,15 +350,16 @@ func (n *Node) ensureDiffEncodedLocked(pg *page) int {
 	if pg.twinIvl == nil {
 		return 0
 	}
-	diff := n.diffLocked(pg.data, pg.twin)
+	diff := n.diffLocked(pg.id, pg.twinIvl.seq, pg.data, pg.twin)
 	pg.twinIvl.diffs[pg.id] = diff
 	pg.twinIvl = nil
 	n.freeFrameLocked(pg.twin)
 	pg.twin = nil
-	n.protoAddLocked(int64(len(diff)) - PageSize) // twin freed, diff retained
+	runs := len(diffRuns(diff))
+	n.protoAddLocked(int64(runs) - PageSize) // twin freed, diff retained
 	n.stats.DiffsCreated++
-	n.stats.DiffBytes += int64(len(diff))
-	return len(diff)
+	n.stats.DiffBytes += int64(runs)
+	return runs
 }
 
 // deltaForLocked collects every interval the node knows that is not
@@ -480,30 +482,28 @@ type diffRequest struct {
 
 // diffRequestPayloads builds the per-creator msgDiffReq payloads for the
 // given missing intervals of page pid, in ascending creator order. It
-// reads only immutable interval identity, so it may run with or without
-// n.mu held. The fault path sends each payload as its own datagram
-// (sendDiffRequests); the GC purge wave coalesces one creator's payloads
-// across ALL its work pages into a single frame (gcPurgePagesLocked).
+// reorders fetch by creator (stably, so each creator's seqs keep their
+// order) and reads only immutable interval identity, so it may run with
+// or without n.mu held. The fault path sends each payload as its own
+// datagram (sendDiffRequests); the GC purge wave coalesces one creator's
+// payloads across ALL its work pages into a single frame
+// (gcPurgePagesLocked).
 func diffRequestPayloads(pid PageID, fetch []*interval) []diffRequest {
-	byCreator := make(map[int][]*interval)
-	var creators []int
-	for _, ivl := range fetch {
-		if _, ok := byCreator[ivl.creator]; !ok {
-			creators = append(creators, ivl.creator)
+	slices.SortStableFunc(fetch, func(a, b *interval) int { return cmp.Compare(a.creator, b.creator) })
+	var out []diffRequest
+	for i := 0; i < len(fetch); {
+		j := i + 1
+		for j < len(fetch) && fetch[j].creator == fetch[i].creator {
+			j++
 		}
-		byCreator[ivl.creator] = append(byCreator[ivl.creator], ivl)
-	}
-	sort.Ints(creators)
-	out := make([]diffRequest, 0, len(creators))
-	for _, cr := range creators {
-		var w wbuf
+		w := wbuf{b: make([]byte, 0, 8+4*(j-i))}
 		w.u32(uint32(pid))
-		ivls := byCreator[cr]
-		w.u32(uint32(len(ivls)))
-		for _, ivl := range ivls {
+		w.u32(uint32(j - i))
+		for _, ivl := range fetch[i:j] {
 			w.u32(uint32(ivl.seq))
 		}
-		out = append(out, diffRequest{creator: cr, payload: w.b})
+		out = append(out, diffRequest{creator: fetch[i].creator, payload: w.b})
+		i = j
 	}
 	return out
 }
@@ -521,36 +521,71 @@ func (c *Client) sendDiffRequests(pid PageID, fetch []*interval) int {
 	return len(reqs)
 }
 
-// recvDiffReply blocks for one msgDiffRep and decodes it into the page
-// it answers for, the creator that served it, and its per-seq diffs. The
-// diffs are sub-slices of the reply payload, applied from there in place.
-// Must be called WITHOUT holding n.mu.
-func (c *Client) recvDiffReply() (PageID, int, map[int][]byte) {
+// fetchedDiff is one interval's diff as a msgDiffRep carried it. The runs
+// are a sub-slice of the reply payload, which may be the creator's stored
+// diff itself (see diffLocked), so they are only ever read.
+type fetchedDiff struct {
+	pid     PageID
+	creator int
+	seq     int
+	runs    []byte
+}
+
+// fetchedDiffs collects the diffs of one fetch wave, in reply order until
+// sorted for lookup.
+type fetchedDiffs []fetchedDiff
+
+func cmpFetched(a, b fetchedDiff) int {
+	if c := cmp.Compare(a.pid, b.pid); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.creator, b.creator); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// sort orders the diffs by (page, creator, seq) for find.
+func (fd fetchedDiffs) sort() { slices.SortFunc(fd, cmpFetched) }
+
+// find returns the runs fetched for interval ivl of page pid; fd must be
+// sorted.
+func (fd fetchedDiffs) find(pid PageID, ivl *interval) ([]byte, bool) {
+	i, ok := slices.BinarySearchFunc(fd, fetchedDiff{pid: pid, creator: ivl.creator, seq: ivl.seq}, cmpFetched)
+	if !ok {
+		return nil, false
+	}
+	return fd[i].runs, true
+}
+
+// recvDiffReply blocks for one msgDiffRep, appends its diffs to fd in
+// reply order, each tagged with the page it answers for and the creator
+// that served it, and returns that page too. Must be called WITHOUT
+// holding n.mu.
+func (c *Client) recvDiffReply(fd fetchedDiffs) (PageID, fetchedDiffs) {
 	rep := c.recvReply(msgDiffRep, 0)
 	r := rbuf{b: rep.Payload}
 	pid := PageID(r.u32())
 	cnt := int(r.u32())
-	bySeq := make(map[int][]byte, cnt)
 	for i := 0; i < cnt; i++ {
 		seq := int(r.u32())
-		bySeq[seq] = r.bytes()
+		fd = append(fd, fetchedDiff{pid: pid, creator: rep.From, seq: seq, runs: r.bytes()})
 	}
-	return pid, rep.From, bySeq
+	return pid, fd
 }
 
 // sortCausal orders intervals by a linearization of the happens-before
 // relation — (vc sum, creator, seq) — the order in which their diffs
 // must be applied (see VectorClock.sum for the validity argument).
 func sortCausal(ivls []*interval) {
-	sort.Slice(ivls, func(i, j int) bool {
-		a, b := ivls[i], ivls[j]
-		if sa, sb := a.vc.sum(), b.vc.sum(); sa != sb {
-			return sa < sb
+	slices.SortFunc(ivls, func(a, b *interval) int {
+		if c := cmp.Compare(a.vc.sum(), b.vc.sum()); c != 0 {
+			return c
 		}
-		if a.creator != b.creator {
-			return a.creator < b.creator
+		if c := cmp.Compare(a.creator, b.creator); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 }
 
@@ -656,14 +691,15 @@ func (c *Client) faultInLocked(pg *page) {
 	// page fetch: the reply queue is shared, and recvReply asserts each
 	// reply's type.
 	nreq := c.sendDiffRequests(pid, fetch)
-	diffs := make(map[int]map[int][]byte, nreq)
+	diffs := make(fetchedDiffs, 0, len(fetch))
 	for i := 0; i < nreq; i++ {
-		gotPid, from, bySeq := c.recvDiffReply()
+		var gotPid PageID
+		gotPid, diffs = c.recvDiffReply(diffs)
 		if gotPid != pid {
 			panic("dsm: diff reply for wrong page")
 		}
-		diffs[from] = bySeq
 	}
+	diffs.sort()
 
 	n.mu.Lock() // --- end network section ---
 
@@ -693,7 +729,7 @@ func (c *Client) faultInLocked(pg *page) {
 	// Apply in a linearization of happens-before.
 	sortCausal(fetch)
 	for _, ivl := range fetch {
-		d, ok := diffs[ivl.creator][ivl.seq]
+		d, ok := diffs.find(pid, ivl)
 		if !ok {
 			panic(fmt.Sprintf("dsm: node %d missing diff (%d,%d) for page %d", n.id, ivl.creator, ivl.seq, pid))
 		}
@@ -704,18 +740,12 @@ func (c *Client) faultInLocked(pg *page) {
 	}
 
 	// Remove exactly the resolved notices (the whole snapshot when the
-	// fetch was squashed); new ones may have been appended while we were
-	// fetching.
-	done := make(map[*interval]bool, len(resolved))
-	for _, ivl := range resolved {
-		done[ivl] = true
-	}
-	rest := pg.missing[:0]
-	for _, ivl := range pg.missing {
-		if !done[ivl] {
-			rest = append(rest, ivl)
-		}
-	}
+	// fetch was squashed). They are still the first len(resolved) entries
+	// of pg.missing: every removal from the list (a fault or a GC purge)
+	// holds fetchMu, which this round holds, so meanwhile notices were
+	// only appended behind them.
+	rest := append(pg.missing[:0], pg.missing[len(resolved):]...)
+	clear(pg.missing[len(rest):])
 	pg.missing = rest
 	if len(pg.missing) == 0 && pg.data != nil && pg.state == pageInvalid {
 		pg.state = pageReadOnly

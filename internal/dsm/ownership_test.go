@@ -1,11 +1,14 @@
 package dsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"testing"
 	"unsafe"
+
+	"repro/internal/network"
 )
 
 // rawWord reads int64 word w of node n's private copy of page pid as it
@@ -275,5 +278,180 @@ func TestGCRecycledFramesNeverAlias(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// owedNotices returns the write notices node n's copy of page pid owes.
+func owedNotices(n *Node, pid PageID) []*interval {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]*interval(nil), n.pageFor(pid).missing...)
+}
+
+// storedDiff returns creator node n's stored diff of its interval seq for
+// page pid (nil if none is stored).
+func storedDiff(n *Node, pid PageID, seq int) []byte {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.intervals[n.id][seq-n.ivlBase[n.id]].diffs[pid]
+}
+
+// rawDiffReply sends node n's msgDiffReq for the given seqs of creator's
+// diffs of page pid, in the order given, and returns the reply payload as
+// it arrives, bypassing the fault path.
+func rawDiffReply(n *Node, creator int, pid PageID, seqs ...int) []byte {
+	var w wbuf
+	w.u32(uint32(pid))
+	w.u32(uint32(len(seqs)))
+	for _, s := range seqs {
+		w.u32(uint32(s))
+	}
+	n.ep.SendAt(creator, msgDiffReq, network.ClassRequest, w.b, n.c0.clk.Now())
+	return n.c0.recvReply(msgDiffRep, 0).Payload
+}
+
+// TestStoredDiffServedAsIs pins the sharing behind sending stored diffs:
+// a request for one interval is answered with the creator's stored diff
+// itself, so every requester reads the same bytes and none may write
+// them. The creator rewrites a whole page (one full-page run), two
+// requesters apply that diff in turn and then write their own copies;
+// the creator's stored diff, its copy and both requesters' copies must
+// each hold exactly their own writes.
+func TestStoredDiffServedAsIs(t *testing.T) {
+	sys := New(Config{Procs: 3, DisableGC: true})
+	base := sys.MallocPage(PageSize)
+	pid := PageID(int(base) / PageSize)
+	const words = PageSize / 8
+	addr := func(w int) Addr { return base + Addr(8*w) }
+	val := func(w int) int64 { return int64(w+1)<<32 | int64(w+1) }
+	creator := sys.Node(0)
+	var served, snapshot []byte
+	sys.Register("share", func(n *Node, _ []byte) {
+		me := n.ID()
+		n.ReadI64(addr(0)) // every node holds a (zero) copy
+		n.Barrier()
+		if me == 0 {
+			for w := 0; w < words; w++ {
+				n.WriteI64(addr(w), val(w))
+			}
+		}
+		n.Barrier() // the creator's interval closes; 1 and 2 owe its diff
+		if me == 1 {
+			owed := owedNotices(n, pid)
+			if len(owed) != 1 || owed[0].creator != 0 {
+				t.Errorf("node 1 owes %d notices, want the creator's one", len(owed))
+			} else {
+				served = rawDiffReply(n, 0, pid, owed[0].seq)
+				stored := storedDiff(creator, pid, owed[0].seq)
+				if unsafe.SliceData(served) != unsafe.SliceData(stored) || len(served) != len(stored) {
+					t.Errorf("one-interval reply is not the stored diff: reply %d bytes at %p, stored %d bytes at %p",
+						len(served), unsafe.SliceData(served), len(stored), unsafe.SliceData(stored))
+				}
+				snapshot = append([]byte(nil), stored...)
+			}
+		}
+		// The requesters apply the diff one after the other, each through
+		// the fault path, so the second reads what the first was served.
+		for r := 1; r <= 2; r++ {
+			if me == r {
+				for w := 0; w < words; w++ {
+					if got := n.ReadI64(addr(w)); got != val(w) {
+						t.Errorf("node %d word %d = %#x after applying the diff, want %#x", me, w, got, val(w))
+						break
+					}
+				}
+			}
+			n.Barrier()
+		}
+		// Each requester writes its own copy.
+		if me > 0 {
+			n.WriteI64(addr(me-1), -int64(me))
+		}
+		n.Barrier()
+		if me != 0 {
+			return
+		}
+		// Raw copies, as written: node 0 kept the creator's values, node r
+		// holds -r at word r-1 and nothing else of the other requester's.
+		for r := 0; r < 3; r++ {
+			for w := 0; w < 2; w++ {
+				want := val(w)
+				if r > 0 && w == r-1 {
+					want = -int64(r)
+				}
+				if got := rawWord(t, sys.Node(r), pid, w); got != want {
+					t.Errorf("node %d's copy word %d = %#x, want %#x", r, w, got, want)
+				}
+			}
+		}
+		if !bytes.Equal(served, snapshot) {
+			t.Error("the stored diff changed after requesters applied it and wrote their copies")
+		}
+	})
+	if err := sys.Run(func(n *Node) { n.RunParallel("share", nil) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMultiIntervalDiffReplyEncoding pins the multi-interval msgDiffRep:
+// [pid][count], then [seq][len][runs] per interval in ascending seq
+// order whatever order the request named them in, with each interval's
+// runs exactly the diff its writes made.
+func TestMultiIntervalDiffReplyEncoding(t *testing.T) {
+	sys := New(Config{Procs: 2, DisableGC: true})
+	base := sys.MallocPage(PageSize)
+	pid := PageID(int(base) / PageSize)
+	// The creator writes words 0..15, then words 100..115 in a second
+	// interval; images[i] is the page after interval i.
+	spans := [][2]int{{0, 16}, {100, 116}}
+	val := func(w int) int64 { return int64(w+1)<<32 | int64(w+1) }
+	images := [][]byte{make([]byte, PageSize)}
+	for _, s := range spans {
+		img := append([]byte(nil), images[len(images)-1]...)
+		for w := s[0]; w < s[1]; w++ {
+			binary.LittleEndian.PutUint64(img[8*w:], uint64(val(w)))
+		}
+		images = append(images, img)
+	}
+	sys.Register("multi", func(n *Node, _ []byte) {
+		me := n.ID()
+		n.ReadI64(base)
+		n.Barrier()
+		for _, s := range spans {
+			if me == 0 {
+				for w := s[0]; w < s[1]; w++ {
+					n.WriteI64(base+Addr(8*w), val(w))
+				}
+			}
+			n.Barrier()
+		}
+		if me != 1 {
+			return
+		}
+		owed := owedNotices(n, pid)
+		if len(owed) != 2 || owed[0].seq+1 != owed[1].seq {
+			t.Errorf("node 1 owes %d notices, want the creator's two consecutive ones", len(owed))
+			return
+		}
+		got := rawDiffReply(n, 0, pid, owed[1].seq, owed[0].seq)
+		var want wbuf
+		want.u32(uint32(pid))
+		want.u32(2)
+		for i, ivl := range owed {
+			want.u32(uint32(ivl.seq))
+			want.bytes(makeDiff(nil, images[i+1], images[i]))
+		}
+		if !bytes.Equal(got, want.b) {
+			t.Errorf("two-interval reply:\n got %x\nwant %x", got, want.b)
+		}
+		for w := 0; w < PageSize/8; w++ {
+			if v := n.ReadI64(base + Addr(8*w)); v != int64(binary.LittleEndian.Uint64(images[2][8*w:])) {
+				t.Errorf("word %d = %#x after applying both diffs", w, v)
+				break
+			}
+		}
+	})
+	if err := sys.Run(func(n *Node) { n.RunParallel("multi", nil) }); err != nil {
+		t.Fatal(err)
 	}
 }

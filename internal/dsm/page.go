@@ -147,15 +147,36 @@ func (n *Node) freeFrameLocked(f []byte) {
 // reuses no larger a share of frames than this cap does.
 const maxFreeFrames = 256
 
-// diffLocked returns the diff of data against twin as an exact-length
-// slice: it is encoded in the node's reused scratch buffer, then copied
-// out once. Requires n.mu.
-func (n *Node) diffLocked(data, twin []byte) []byte {
+// storedDiffHeader is the length of a stored diff's header,
+// [pid][1][seq][len]: a stored diff is the msgDiffRep that serves its
+// interval alone (see diffLocked).
+const storedDiffHeader = 16
+
+// diffLocked returns the diff of data against twin for interval seq of
+// page pid, stored in its one-interval msgDiffRep encoding,
+// [pid][1][seq][len][runs], so a request for that interval alone is
+// answered with the stored slice itself. The runs are encoded in the
+// node's reused scratch buffer, then copied once into the exact-size
+// stored slice. This is the only place the stored header is written;
+// diffRuns and diffRecord read it. A stored diff is never modified after
+// this call. Requires n.mu.
+func (n *Node) diffLocked(pid PageID, seq int, data, twin []byte) []byte {
 	n.diffScratch = makeDiff(n.diffScratch[:0], data, twin)
-	diff := make([]byte, len(n.diffScratch))
-	copy(diff, n.diffScratch)
-	return diff
+	w := wbuf{b: make([]byte, 0, storedDiffHeader+len(n.diffScratch))}
+	w.u32(uint32(pid))
+	w.u32(1)
+	w.u32(uint32(seq))
+	w.bytes(n.diffScratch)
+	return w.b
 }
+
+// diffRuns returns the encoded runs of a stored diff: the bytes DiffBytes
+// and the protocol-metadata gauge count.
+func diffRuns(stored []byte) []byte { return stored[storedDiffHeader:] }
+
+// diffRecord returns a stored diff's [seq][len][runs] record, the part a
+// multi-interval msgDiffRep concatenates behind its [pid][count] header.
+func diffRecord(stored []byte) []byte { return stored[8:] }
 
 // makeDiff appends to dst the word-granularity (4-byte) delta between data
 // and twin, encoded as runs of [offset u32][length u32][bytes]. The 4-byte
@@ -204,7 +225,8 @@ func wordEq(a, b []byte, i int) bool {
 }
 
 // applyDiff writes the runs of an encoded diff into data and returns the
-// number of payload bytes applied.
+// number of payload bytes applied. It only reads diff: the runs may be a
+// stored diff its creator serves to every requester (see diffLocked).
 func applyDiff(data, diff []byte) int {
 	r := rbuf{b: diff}
 	applied := 0

@@ -94,8 +94,8 @@ func (n *Node) dispatch(m *network.Message) {
 // dispatchBatch demuxes a coalesced frame (wire.go's frameBuilder) into
 // per-sub synthesized messages and dispatches each in order. Sub payloads
 // are capacity-clipped sub-slices of the envelope and decode without
-// copying: the frame belongs to this receiver (see rbuf), so a handler
-// may keep and even modify what it decodes.
+// copying: a handler may keep what it decodes, but reads it only (see the
+// ownership rule on rbuf).
 func (n *Node) dispatchBatch(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	walkBatch(&r, n.id, func(typ int, payload []byte) {
@@ -171,56 +171,75 @@ func (n *Node) handlePageReq(m *network.Message) {
 
 // handleDiffReq serves a batched diff request for one page from this node
 // (the creator of the requested intervals), encoding any diff that is
-// still pending against the page's twin.
+// still pending against the page's twin. A request for one interval is
+// answered with the stored diff itself, which is already that reply's
+// encoding (see diffLocked); several intervals are answered with one
+// exact-size reply, [pid][count] followed by each stored diff's
+// [seq][len][runs] record in ascending seq order.
 func (n *Node) handleDiffReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	pid := PageID(r.u32())
 	cnt := r.needCount(int(r.u32()), 4)
+	service := n.sys.plat.RequestService
+	if cnt == 1 {
+		seq := int(r.u32())
+		n.mu.Lock()
+		n.chargeInterruptLocked()
+		d, encode := n.storedDiffLocked(pid, seq)
+		n.mu.Unlock()
+		n.ep.SendAt(m.From, msgDiffRep, network.ClassReply, d, m.Arrive+service+encode)
+		return
+	}
 	seqs := make([]int, cnt)
 	for i := range seqs {
 		seqs[i] = int(r.u32())
 	}
 	sort.Ints(seqs)
-
-	service := n.sys.plat.RequestService
 	n.mu.Lock()
 	n.chargeInterruptLocked()
 	// Gather the diffs first so the reply is allocated once, at its exact
-	// size: pid, count, then [seq][len][diff] per interval.
-	diffs := make([][]byte, len(seqs))
+	// size.
+	diffs := make([][]byte, cnt)
 	size := 8
 	for i, seq := range seqs {
-		own := n.intervals[n.id]
-		idx := seq - n.ivlBase[n.id]
-		if idx < 0 {
-			// Soundness tripwire: the barrier-epoch collector frees an
-			// interval's diffs only after no node can reference it again.
-			panic(fmt.Sprintf("dsm: node %d asked for diff of retired interval (%d,%d)", n.id, n.id, seq))
-		}
-		if idx >= len(own) {
-			panic(fmt.Sprintf("dsm: node %d asked for diff of unknown interval (%d,%d)", n.id, n.id, seq))
-		}
-		ivl := own[idx]
-		d, ok := ivl.diffs[pid]
-		if !ok {
-			pg := n.pageFor(pid)
-			if pg.twinIvl != ivl {
-				panic(fmt.Sprintf("dsm: node %d has no diff and no twin for page %d interval %d", n.id, pid, seq))
-			}
-			n.ensureDiffEncodedLocked(pg)
-			service += n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
-			d = ivl.diffs[pid]
-		}
+		d, encode := n.storedDiffLocked(pid, seq)
+		service += encode
 		diffs[i] = d
-		size += 8 + len(d)
+		size += len(diffRecord(d))
 	}
 	n.mu.Unlock()
 	w := wbuf{b: make([]byte, 0, size)}
 	w.u32(uint32(pid))
 	w.u32(uint32(cnt))
-	for i, seq := range seqs {
-		w.u32(uint32(seq))
-		w.bytes(diffs[i])
+	for _, d := range diffs {
+		w.b = append(w.b, diffRecord(d)...)
 	}
 	n.ep.SendAt(m.From, msgDiffRep, network.ClassReply, w.b, m.Arrive+service)
+}
+
+// storedDiffLocked returns this node's stored diff of its own interval seq
+// for page pid, encoding it first if the page's twin still owes it, and
+// the service time that encoding costs (zero if it was already stored).
+// Requires n.mu.
+func (n *Node) storedDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
+	own := n.intervals[n.id]
+	idx := seq - n.ivlBase[n.id]
+	if idx < 0 {
+		// Soundness tripwire: the barrier-epoch collector frees an
+		// interval's diffs only after no node can reference it again.
+		panic(fmt.Sprintf("dsm: node %d asked for diff of retired interval (%d,%d)", n.id, n.id, seq))
+	}
+	if idx >= len(own) {
+		panic(fmt.Sprintf("dsm: node %d asked for diff of unknown interval (%d,%d)", n.id, n.id, seq))
+	}
+	ivl := own[idx]
+	if d, ok := ivl.diffs[pid]; ok {
+		return d, 0
+	}
+	pg := n.pageFor(pid)
+	if pg.twinIvl != ivl {
+		panic(fmt.Sprintf("dsm: node %d has no diff and no twin for page %d interval %d", n.id, pid, seq))
+	}
+	n.ensureDiffEncodedLocked(pg)
+	return ivl.diffs[pid], n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
 }

@@ -65,8 +65,9 @@ type interval struct {
 	vc      VectorClock
 	pages   []PageID
 
-	// diffs is populated only at the creator: encoded diff per page,
-	// created lazily by ensureDiffEncoded and reclaimed by the
+	// diffs is populated only at the creator: encoded diff per page, in
+	// its stored one-interval reply form (see diffLocked), created lazily
+	// by ensureDiffEncoded, never modified, and reclaimed by the
 	// barrier-epoch garbage collector once no node can request it again
 	// (see gc.go).
 	diffs map[PageID][]byte

@@ -22,7 +22,7 @@ package dsm
 // wireError panic — the contract the fuzz suite (wire_test.go) pins.
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -91,7 +91,7 @@ func encodeRecords(w *wbuf, ivls []*interval) {
 				w.uv(uint64(x - base[i]))
 			}
 		}
-		sort.Slice(ivl.pages, func(a, b int) bool { return ivl.pages[a] < ivl.pages[b] })
+		slices.Sort(ivl.pages)
 		encodePageRuns(w, ivl.pages)
 	}
 }
